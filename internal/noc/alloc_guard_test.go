@@ -43,6 +43,7 @@ func TestAllocRegressionGuard(t *testing.T) {
 		"BenchmarkStepIdle8x8":           BenchmarkStepIdle8x8,
 		"BenchmarkStepAccelLike8x8":      BenchmarkStepAccelLike8x8,
 		"BenchmarkStepSaturated8x8":      BenchmarkStepSaturated8x8,
+		"BenchmarkStepSaturated8x8VC16":  BenchmarkStepSaturated8x8VC16,
 		"BenchmarkStepSaturatedTorus8x8": BenchmarkStepSaturatedTorus8x8,
 		"BenchmarkStepSaturatedCMesh8x8": BenchmarkStepSaturatedCMesh8x8,
 		"BenchmarkStepSaturated4x4Wide":  BenchmarkStepSaturated4x4Wide,

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"nocbt/internal/flit"
@@ -13,7 +14,7 @@ import (
 //
 // Step is event-scheduled rather than scan-everything: links register on a
 // busy list when a flit is transmitted, NIs with queued packets and routers
-// with buffered flits sit on active lists, and each cycle visits only those.
+// with buffered flits sit on active sets, and each cycle visits only those.
 // An idle mesh cycle therefore costs O(1) instead of O(routers × ports).
 type Sim struct {
 	cfg     Config
@@ -33,10 +34,10 @@ type Sim struct {
 	busy []*Link
 	// activeNIs holds NIs with packets queued or mid-injection.
 	activeNIs []*NI
-	// activeRouters holds routers with buffered flits, kept in id order so
-	// same-cycle credit returns behave exactly like the full id-order scan.
-	activeRouters []*router
-	routersSorted bool
+	// activeRouters is the set of router ids with buffered flits. It is
+	// walked in id order, so same-cycle credit returns behave exactly like
+	// the full id-order scan.
+	activeRouters bitset
 
 	cycle     int64
 	inNetwork int64 // flits transmitted by NIs and not yet ejected
@@ -132,6 +133,7 @@ func New(cfg Config) (*Sim, error) {
 	s := &Sim{cfg: cfg, topo: topo, packetStart: make(map[uint64]int64), pool: flit.NewPool(cfg.LinkBits)}
 	routers, ports := topo.Routers(), topo.Ports()
 	s.routers = make([]*router, routers)
+	s.activeRouters = newBitset(routers)
 	for id := 0; id < routers; id++ {
 		s.routers[id] = newRouter(id, ports, cfg.VCs)
 	}
@@ -160,7 +162,7 @@ func New(cfg Config) (*Sim, error) {
 			s.links = append(s.links, link)
 			r.out[port] = newOutPort(link, cfg.VCs, cfg.BufDepth, false)
 			in := newInPort(cfg.VCs, cfg.BufDepth, r.out[port])
-			s.routers[nb].in[inPort] = in
+			s.routers[nb].attachIn(inPort, in)
 			link.dstRouter = s.routers[nb]
 			link.dstIn = in
 		}
@@ -188,7 +190,7 @@ func New(cfg Config) (*Sim, error) {
 		s.links = append(s.links, inj)
 		niOut := newOutPort(inj, cfg.VCs, cfg.BufDepth, false)
 		in := newInPort(cfg.VCs, cfg.BufDepth, niOut)
-		r.in[lp] = in
+		r.attachIn(lp, in)
 		inj.dstRouter = r
 		inj.dstIn = in
 		s.nis[node] = newNI(node, niOut, s.pool)
@@ -283,15 +285,6 @@ func (s *Sim) Inject(p *flit.Packet) error {
 	return nil
 }
 
-// activateRouter puts r on the active list when its first flit arrives.
-func (s *Sim) activateRouter(r *router) {
-	if !r.active {
-		r.active = true
-		s.activeRouters = append(s.activeRouters, r)
-		s.routersSorted = false
-	}
-}
-
 // Step advances the simulation one cycle.
 func (s *Sim) Step() {
 	s.cycle++
@@ -342,9 +335,8 @@ func (s *Sim) Step() {
 			}
 			continue
 		}
-		l.dstIn.push(f)
-		l.dstRouter.buffered++
-		s.activateRouter(l.dstRouter)
+		l.dstRouter.receive(l.dstIn, f)
+		s.activeRouters.set(l.dstRouter.id)
 		if s.trace != nil {
 			s.trace(s.cycle, l.Name, l.Class, f)
 		}
@@ -391,28 +383,36 @@ func (s *Sim) Step() {
 
 	// Phase 3 — routers: route computation, VC allocation, switch
 	// allocation + traversal. Same-cycle credit returns flow from lower to
-	// higher router ids exactly as in a full scan, so the active list must
-	// be walked in id order.
-	if len(s.activeRouters) > 0 {
-		if !s.routersSorted {
-			sort.Slice(s.activeRouters, func(i, j int) bool {
-				return s.activeRouters[i].id < s.activeRouters[j].id
-			})
-			s.routersSorted = true
-		}
-		keep := s.activeRouters[:0]
-		for _, r := range s.activeRouters {
+	// higher router ids exactly as in a full scan, so the active set is
+	// walked in id order. Nothing activates a router during this phase
+	// (forwarded flits land next cycle), so each word can be walked from a
+	// snapshot while drained routers leave the set.
+	for w, word := range s.activeRouters {
+		for ; word != 0; word &= word - 1 {
+			r := s.routers[w<<6+bits.TrailingZeros64(word)]
 			r.rc(s.topo)
 			r.va()
 			r.sa()
-			if r.buffered > 0 {
-				keep = append(keep, r)
-			} else {
-				r.active = false
+			if r.buffered == 0 {
+				s.activeRouters.clear(r.id)
 			}
 		}
-		s.activeRouters = keep // compaction preserves id order
 	}
+}
+
+// checkRequestSets verifies every router's request sets against its VC
+// state and that the active-router set holds exactly the routers with
+// buffered flits. Valid between Steps.
+func (s *Sim) checkRequestSets() error {
+	for _, r := range s.routers {
+		if err := r.checkRequestSets(); err != nil {
+			return err
+		}
+		if s.activeRouters.has(r.id) != (r.buffered > 0) {
+			return fmt.Errorf("router %d: active %v with %d buffered flits", r.id, s.activeRouters.has(r.id), r.buffered)
+		}
+	}
+	return nil
 }
 
 // Busy reports whether any flit is queued, buffered or in flight.

@@ -110,10 +110,10 @@ func BenchmarkStepAccelLike8x8(b *testing.B) {
 // heavy-traffic regime where per-flit cost, not idle skipping, dominates.
 // Parameterized on the topology so mesh, torus (dateline VCs) and cmesh
 // (shared concentrated routers) all stay on the allocation-free hot path.
-func saturatedBench(b *testing.B, topology string, concentration int) {
+func saturatedBench(b *testing.B, topology string, concentration, vcs int) {
 	rng := rand.New(rand.NewSource(3))
 	var id uint64
-	cfg := Config{Width: 8, Height: 8, Topology: topology, Concentration: concentration, VCs: 4, BufDepth: 4, LinkBits: 128}
+	cfg := Config{Width: 8, Height: 8, Topology: topology, Concentration: concentration, VCs: vcs, BufDepth: 4, LinkBits: 128}
 	benchSim(b, cfg, func(s *Sim, cycle int64) {
 		if cycle%16 != 0 {
 			return
@@ -135,15 +135,19 @@ func saturatedBench(b *testing.B, topology string, concentration int) {
 
 // BenchmarkStepSaturated8x8 is the saturated regime on the default mesh;
 // its allocs/op budget lives in BENCH_noc.json pooling.after.
-func BenchmarkStepSaturated8x8(b *testing.B) { saturatedBench(b, "", 0) }
+func BenchmarkStepSaturated8x8(b *testing.B) { saturatedBench(b, "", 0, 4) }
+
+// BenchmarkStepSaturated8x8VC16 saturates the mesh with 16 VCs per port:
+// 80 requesters per router, so every request set spans two words.
+func BenchmarkStepSaturated8x8VC16(b *testing.B) { saturatedBench(b, "", 0, 16) }
 
 // BenchmarkStepSaturatedTorus8x8 saturates the wraparound torus: the
 // dateline VC-class split must not push flits off the pooled path.
-func BenchmarkStepSaturatedTorus8x8(b *testing.B) { saturatedBench(b, "torus", 0) }
+func BenchmarkStepSaturatedTorus8x8(b *testing.B) { saturatedBench(b, "torus", 0, 4) }
 
 // BenchmarkStepSaturatedCMesh8x8 saturates the concentrated mesh (4 NIs
 // per router): higher local-port contention, same allocation budget.
-func BenchmarkStepSaturatedCMesh8x8(b *testing.B) { saturatedBench(b, "cmesh", 4) }
+func BenchmarkStepSaturatedCMesh8x8(b *testing.B) { saturatedBench(b, "cmesh", 4, 4) }
 
 // BenchmarkStepSaturated4x4Wide is the float-32 flavour: a 4×4 mesh with
 // 512-bit links under sustained traffic from its two MC corners.

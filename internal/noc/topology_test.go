@@ -209,7 +209,8 @@ func TestTorusNeedsTwoVCs(t *testing.T) {
 // TestMeshTopologyGoldenEquivalence pins the refactor's central promise:
 // naming the topology "mesh" explicitly produces byte-identical behaviour
 // to the historical implicit mesh — same link names, flit counts and bit
-// transitions under identical traffic.
+// transitions under identical traffic. The router request sets are checked
+// against the VC state after every cycle.
 func TestMeshTopologyGoldenEquivalence(t *testing.T) {
 	run := func(topology string) ([]LinkStat, Stats) {
 		cfg := testConfig(4, 4, 16)
@@ -225,8 +226,14 @@ func TestMeshTopologyGoldenEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := s.Drain(100000); err != nil {
-			t.Fatal(err)
+		for i := 0; s.Busy(); i++ {
+			if i >= 100000 {
+				t.Fatal("network did not drain")
+			}
+			s.Step()
+			if err := s.checkRequestSets(); err != nil {
+				t.Fatalf("cycle %d: %v", s.Cycle(), err)
+			}
 		}
 		return s.LinkStats(), s.Stats()
 	}

@@ -221,3 +221,40 @@ func TestBatcherMetrics(t *testing.T) {
 		t.Errorf("InferBatches = %d, want between 2 and 4", got)
 	}
 }
+
+// slowReleaseEngine widens the window between an engine's last use and
+// its return to the pool: the pool calls Reusable inside release.
+type slowReleaseEngine struct{ *stubEngine }
+
+func (e slowReleaseEngine) Reusable() bool {
+	time.Sleep(2 * time.Millisecond)
+	return e.stubEngine.Reusable()
+}
+
+// TestBatcherRecordsFlushBeforeReply pins the flush ordering: by the time a
+// requester holds its reply, the flush's latency and batch-size
+// observations are recorded and its engine is back in the pool, so a
+// metrics scrape that follows the reply sees the flush.
+func TestBatcherRecordsFlushBeforeReply(t *testing.T) {
+	eng := slowReleaseEngine{&stubEngine{reusable: true}}
+	m := NewMetrics(0)
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	p := NewPool(1, m)
+	shard := p.Shard("k", func() (Engine, error) { return eng, nil })
+	b := NewBatcher(ctx, shard, 1, 0, m)
+	for i := int64(1); i <= 5; i++ {
+		if _, _, _, err := b.Do(context.Background(), in()); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.BatchSize.Count(); got != i {
+			t.Fatalf("reply %d: batch-size count %d", i, got)
+		}
+		if got := m.FlushLatency.Count(); got != i {
+			t.Fatalf("reply %d: flush-latency count %d", i, got)
+		}
+		if got := m.QueueDepth.Load(); got != 0 {
+			t.Fatalf("reply %d: queue depth %d, engine not yet released", i, got)
+		}
+	}
+}
