@@ -65,29 +65,31 @@ func BenchmarkTableIFixed8Trained(b *testing.B)  { benchTable1Row(b, "Fixed-8 tr
 
 // ---- Fig. 9/10/11: bit-level distributions --------------------------------
 
+// benchExperimentText runs a registered experiment and renders its text
+// form once per iteration.
+func benchExperimentText(b *testing.B, name string, p nocbt.Params) {
+	var n int
+	for i := 0; i < b.N; i++ {
+		res, err := nocbt.RunExperiment(context.Background(), name, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		text, err := nocbt.Render(res, nocbt.Text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n += len(text)
+	}
+	_ = n
+}
+
 func BenchmarkFig9PopcountGrid(b *testing.B) {
-	var n int
-	for i := 0; i < b.N; i++ {
-		n += len(nocbt.Fig9Report(20))
-	}
-	_ = n
+	benchExperimentText(b, "fig9", nocbt.Params{Flits: 20})
 }
 
-func BenchmarkFig10BitDistribution(b *testing.B) {
-	var n int
-	for i := 0; i < b.N; i++ {
-		n += len(nocbt.BitLevelReport(bitutil.Float32))
-	}
-	_ = n
-}
+func BenchmarkFig10BitDistribution(b *testing.B) { benchExperimentText(b, "fig10", nocbt.Params{}) }
 
-func BenchmarkFig11BitDistribution(b *testing.B) {
-	var n int
-	for i := 0; i < b.N; i++ {
-		n += len(nocbt.BitLevelReport(bitutil.Fixed8))
-	}
-	_ = n
-}
+func BenchmarkFig11BitDistribution(b *testing.B) { benchExperimentText(b, "fig11", nocbt.Params{}) }
 
 // ---- Fig. 12: NoC size sweep ----------------------------------------------
 
@@ -112,42 +114,42 @@ func benchNoCRun(b *testing.B, platform string, cfg nocbt.Platform, ord nocbt.Or
 }
 
 func BenchmarkFig12NoC4x4MC2Fixed8O0(b *testing.B) {
-	benchNoCRun(b, "4x4 MC2", nocbt.Platform4x4MC2(nocbt.Fixed8()), nocbt.O0)
+	benchNoCRun(b, "4x4 MC2", nocbt.MustPlatform(nocbt.PaperOptions4x4MC2(nocbt.Fixed8())...), nocbt.O0)
 }
 func BenchmarkFig12NoC4x4MC2Fixed8O1(b *testing.B) {
-	benchNoCRun(b, "4x4 MC2", nocbt.Platform4x4MC2(nocbt.Fixed8()), nocbt.O1)
+	benchNoCRun(b, "4x4 MC2", nocbt.MustPlatform(nocbt.PaperOptions4x4MC2(nocbt.Fixed8())...), nocbt.O1)
 }
 func BenchmarkFig12NoC4x4MC2Fixed8O2(b *testing.B) {
-	benchNoCRun(b, "4x4 MC2", nocbt.Platform4x4MC2(nocbt.Fixed8()), nocbt.O2)
+	benchNoCRun(b, "4x4 MC2", nocbt.MustPlatform(nocbt.PaperOptions4x4MC2(nocbt.Fixed8())...), nocbt.O2)
 }
 func BenchmarkFig12NoC4x4MC2Float32O2(b *testing.B) {
-	benchNoCRun(b, "4x4 MC2", nocbt.Platform4x4MC2(nocbt.Float32()), nocbt.O2)
+	benchNoCRun(b, "4x4 MC2", nocbt.MustPlatform(nocbt.PaperOptions4x4MC2(nocbt.Float32())...), nocbt.O2)
 }
 func BenchmarkFig12NoC8x8MC4Fixed8O2(b *testing.B) {
-	benchNoCRun(b, "8x8 MC4", nocbt.Platform8x8MC4(nocbt.Fixed8()), nocbt.O2)
+	benchNoCRun(b, "8x8 MC4", nocbt.MustPlatform(nocbt.PaperOptions8x8MC4(nocbt.Fixed8())...), nocbt.O2)
 }
 func BenchmarkFig12NoC8x8MC8Fixed8O2(b *testing.B) {
-	benchNoCRun(b, "8x8 MC8", nocbt.Platform8x8MC8(nocbt.Fixed8()), nocbt.O2)
+	benchNoCRun(b, "8x8 MC8", nocbt.MustPlatform(nocbt.PaperOptions8x8MC8(nocbt.Fixed8())...), nocbt.O2)
 }
 
 // ---- Fig. 13: model sweep ---------------------------------------------------
 
 func BenchmarkFig13LeNetFixed8O2(b *testing.B) {
-	benchNoCRun(b, "4x4 MC2", nocbt.Platform4x4MC2(nocbt.Fixed8()), nocbt.O2)
+	benchNoCRun(b, "4x4 MC2", nocbt.MustPlatform(nocbt.PaperOptions4x4MC2(nocbt.Fixed8())...), nocbt.O2)
 }
 
 func BenchmarkFig13DarkNetFixed8O2(b *testing.B) {
 	// DarkNet with random weights: one inference is ~10× LeNet's traffic.
 	model := nocbt.DarkNet(1)
 	input := nocbt.SampleInput(model, 7)
-	base, err := nocbt.RunModelOnNoC(context.Background(), "4x4 MC2", nocbt.Platform4x4MC2(nocbt.Fixed8()), nocbt.O0, model, input)
+	base, err := nocbt.RunModelOnNoC(context.Background(), "4x4 MC2", nocbt.MustPlatform(nocbt.PaperOptions4x4MC2(nocbt.Fixed8())...), nocbt.O0, model, input)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	var r nocbt.NoCRunResult
 	for i := 0; i < b.N; i++ {
-		r, err = nocbt.RunModelOnNoC(context.Background(), "4x4 MC2", nocbt.Platform4x4MC2(nocbt.Fixed8()), nocbt.O2, model, input)
+		r, err = nocbt.RunModelOnNoC(context.Background(), "4x4 MC2", nocbt.MustPlatform(nocbt.PaperOptions4x4MC2(nocbt.Fixed8())...), nocbt.O2, model, input)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -258,7 +260,7 @@ func BenchmarkAblationInBandIndex(b *testing.B) {
 	model := nocbt.LeNet(1)
 	input := nocbt.SampleInput(model, 7)
 	run := func(inBand bool) int64 {
-		cfg := nocbt.Platform4x4MC2(nocbt.Fixed8())
+		cfg := nocbt.MustPlatform(nocbt.PaperOptions4x4MC2(nocbt.Fixed8())...)
 		cfg.Ordering = nocbt.O2
 		cfg.InBandIndex = inBand
 		eng, err := nocbt.NewEngine(cfg, model)
@@ -285,7 +287,7 @@ func BenchmarkAblationVC(b *testing.B) {
 	model := nocbt.LeNet(1)
 	input := nocbt.SampleInput(model, 7)
 	run := func(vcs int, ord nocbt.Ordering) int64 {
-		cfg := nocbt.Platform4x4MC2(nocbt.Fixed8())
+		cfg := nocbt.MustPlatform(nocbt.PaperOptions4x4MC2(nocbt.Fixed8())...)
 		cfg.Mesh.VCs = vcs
 		cfg.Ordering = ord
 		eng, err := nocbt.NewEngine(cfg, model)
@@ -377,7 +379,7 @@ func batchBenchWorkload() (nocbt.Platform, *dnn.Model, []*tensor.Tensor) {
 		x.Uniform(0, 1, rand.New(rand.NewSource(int64(10+i))))
 		inputs[i] = x
 	}
-	cfg := nocbt.Platform8x8MC8(nocbt.Fixed8())
+	cfg := nocbt.MustPlatform(nocbt.PaperOptions8x8MC8(nocbt.Fixed8())...)
 	cfg.PEComputeCycles = 64
 	return cfg, model, inputs
 }

@@ -6,8 +6,7 @@
 //
 //	btexp -list
 //	btexp [-seed N] [-quick] [-trained=false] [-timeout D] [-format table|json|csv] [-o file] [-trace out.json] -run <name>
-//	btexp [flags] <experiment>           (positional form of -run)
-//	btexp [flags] all                    (every paper experiment, table format)
+//	btexp [flags] -run all               (every paper experiment, table format)
 //
 // With -trace, every simulated packet and accelerator layer phase in the
 // run is exported as Chrome trace-event JSON (load it in
@@ -18,9 +17,7 @@
 // -seeds/-batches, and widen the strategy axes with -orderings (any
 // registered ordering strategy) and -codings (none/gray/businvert). The
 // codings experiment compares every registered (ordering × link coding)
-// combination on the paper workloads. The deprecated -json flag emits the
-// sweep's legacy row-array JSON; -format json emits the structured
-// experiment Result.
+// combination on the paper workloads.
 package main
 
 import (
@@ -38,7 +35,7 @@ import (
 	"nocbt/internal/fsutil"
 )
 
-// allOrder is the paper's presentation order for `btexp all`.
+// allOrder is the paper's presentation order for `btexp -run all`.
 var allOrder = []string{"fig1", "table1", "fig9", "fig10", "fig11", "fig12", "fig13", "table2", "power"}
 
 func main() {
@@ -58,16 +55,16 @@ func run(args []string, stdout io.Writer) error {
 	list := fs.Bool("list", false, "list the registered experiments and exit")
 	runName := fs.String("run", "", "run the named registered experiment (see -list)")
 	format := fs.String("format", "table", "output format: table, json or csv")
-	platforms := fs.String("platforms", "", "sweep: comma-separated subset of 4x4,8x8mc4,8x8mc8")
-	formats := fs.String("formats", "", "sweep: comma-separated subset of fixed8,float32")
-	models := fs.String("models", "", "sweep: comma-separated subset of lenet,darknet")
-	seeds := fs.String("seeds", "", "sweep: comma-separated seed list (default: -seed)")
-	batches := fs.String("batches", "", "sweep: comma-separated inference batch sizes (default: 1)")
-	orderings := fs.String("orderings", "", "sweep: comma-separated ordering strategy names (default: O0,O1,O2; see the strategy registry)")
-	codings := fs.String("codings", "", "sweep: comma-separated link codings from none,gray,businvert (default: none)")
-	precisions := fs.String("precisions", "", "sweep: comma-separated fixed-point lane widths from 2,4,8,16 (default: the geometry's own format)")
-	topologies := fs.String("topology", "", "sweep: comma-separated interconnect topologies from mesh,torus,cmesh (default: the platform's own mesh)")
-	asJSON := fs.Bool("json", false, "sweep: emit the legacy row-array JSON instead of a table")
+	var axes nocbt.SweepAxes
+	fs.Var(names(&axes.Platforms), "platforms", "sweep: comma-separated subset of 4x4,8x8mc4,8x8mc8")
+	fs.Var(names(&axes.Formats), "formats", "sweep: comma-separated subset of fixed8,float32")
+	fs.Var(names(&axes.Models), "models", "sweep: comma-separated subset of lenet,darknet")
+	fs.Var(ints(&axes.Seeds, "seed"), "seeds", "sweep: comma-separated seed list (default: -seed)")
+	fs.Var(ints(&axes.Batches, "batch size"), "batches", "sweep: comma-separated inference batch sizes (default: 1)")
+	fs.Var(names(&axes.Orderings), "orderings", "sweep: comma-separated ordering strategy names (default: O0,O1,O2; see the strategy registry)")
+	fs.Var(names(&axes.Codings), "codings", "sweep: comma-separated link codings from none,gray,businvert (default: none)")
+	fs.Var(ints(&axes.Precisions, "precision"), "precisions", "sweep: comma-separated fixed-point lane widths from 2,4,8,16 (default: the geometry's own format)")
+	fs.Var(names(&axes.Topologies), "topology", "sweep: comma-separated interconnect topologies from mesh,torus,cmesh (default: the platform's own mesh)")
 	traceOut := fs.String("trace", "", "write packet/layer spans as Chrome trace-event JSON to this file")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -92,25 +89,17 @@ func run(args []string, stdout io.Writer) error {
 		return emit(sb.String())
 	}
 
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q: name the experiment with -run (see -list)", fs.Arg(0))
+	}
 	exp := strings.ToLower(strings.TrimSpace(*runName))
-	switch {
-	case exp != "" && fs.NArg() > 0:
-		return fmt.Errorf("pass either -run <name> or one positional experiment, not both")
-	case exp == "" && fs.NArg() != 1:
-		return fmt.Errorf("usage: btexp [flags] <experiment|all>, btexp -run <name>, or btexp -list")
-	case exp == "":
-		exp = strings.ToLower(fs.Arg(0))
+	if exp == "" {
+		return fmt.Errorf("usage: btexp [flags] -run <name|all>, or btexp -list")
 	}
 
 	renderAs, err := nocbt.ParseFormat(*format)
 	if err != nil {
 		return err
-	}
-	if *asJSON && renderAs != nocbt.Text {
-		return fmt.Errorf("pass either the legacy -json flag or -format %s, not both", *format)
-	}
-	if *asJSON && exp != "sweep" {
-		return fmt.Errorf("-json applies only to the sweep experiment; use -format json for %q", exp)
 	}
 
 	params := nocbt.Params{Seed: *seed, Trained: *trained, Quick: *quick}
@@ -118,7 +107,7 @@ func run(args []string, stdout io.Writer) error {
 		params.Trained = false // fast pass: skip model training
 	}
 	if exp == "sweep" {
-		spec, err := sweepSpec(*platforms, *formats, *models, *seeds, *batches, *orderings, *codings, *precisions, *topologies, *seed, params.Trained)
+		spec, err := axes.Spec(*seed, params.Trained)
 		if err != nil {
 			return err
 		}
@@ -183,23 +172,6 @@ func run(args []string, stdout io.Writer) error {
 		return emit(sb.String())
 	}
 
-	// The deprecated -json flag keeps the sweep's legacy output shape: a
-	// bare array of rows rather than the structured Result.
-	if exp == "sweep" && *asJSON {
-		rows, err := nocbt.RunSweep(ctx, *params.Sweep)
-		if err != nil {
-			return err
-		}
-		var jb strings.Builder
-		if err := nocbt.WriteSweepJSON(&jb, rows); err != nil {
-			return err
-		}
-		if err := writeTrace(); err != nil {
-			return err
-		}
-		return emit(strings.TrimRight(jb.String(), "\n") + "\n")
-	}
-
 	res, err := nocbt.RunExperiment(ctx, exp, params)
 	if err != nil {
 		return err
@@ -233,93 +205,42 @@ func atomicWriteFile(path string, data []byte) error {
 	return fsutil.WriteFileAtomic(path, data, 0o644)
 }
 
-// sweepSpec assembles a SweepSpec from the command-line subset flags;
-// empty flags keep the paper's full default axis.
-func sweepSpec(platforms, formats, models, seeds, batches, orderings, codings, precisions, topologies string, seed int64, trained bool) (nocbt.SweepSpec, error) {
-	spec := nocbt.SweepSpec{Trained: trained, Seeds: []int64{seed}}
-	if platforms != "" {
-		for _, name := range strings.Split(platforms, ",") {
-			p, ok := nocbt.LookupPaperPlatform(name)
-			if !ok {
-				return spec, fmt.Errorf("unknown platform %q (want 4x4, 8x8mc4 or 8x8mc8)", name)
-			}
-			spec.Platforms = append(spec.Platforms, p)
-		}
+// listFlag is a comma-separated flag value parsed entry by entry into
+// *dst; a repeated flag replaces the earlier list.
+type listFlag[T any] struct {
+	dst   *[]T
+	parse func(string) (T, error)
+}
+
+func (f listFlag[T]) String() string { return "" }
+
+func (f listFlag[T]) Set(s string) error {
+	*f.dst = nil
+	if s == "" {
+		return nil
 	}
-	if formats != "" {
-		for _, name := range strings.Split(formats, ",") {
-			switch strings.ToLower(strings.TrimSpace(name)) {
-			case "fixed8", "fixed-8":
-				spec.Geometries = append(spec.Geometries, nocbt.Fixed8())
-			case "float32", "float-32":
-				spec.Geometries = append(spec.Geometries, nocbt.Float32())
-			default:
-				return spec, fmt.Errorf("unknown format %q (want fixed8 or float32)", name)
-			}
+	for _, item := range strings.Split(s, ",") {
+		v, err := f.parse(strings.TrimSpace(item))
+		if err != nil {
+			return err
 		}
+		*f.dst = append(*f.dst, v)
 	}
-	if models != "" {
-		for _, name := range strings.Split(models, ",") {
-			spec.Models = append(spec.Models, nocbt.SweepModel(strings.ToLower(strings.TrimSpace(name))))
+	return nil
+}
+
+// names is a list of names, resolved later by nocbt.SweepAxes.Spec.
+func names(dst *[]string) listFlag[string] {
+	return listFlag[string]{dst, func(s string) (string, error) { return s, nil }}
+}
+
+// ints is a list of integers; what names one entry in parse errors.
+func ints[T int | int64](dst *[]T, what string) listFlag[T] {
+	return listFlag[T]{dst, func(s string) (T, error) {
+		v, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			return 0, fmt.Errorf("bad %s %q", what, s)
 		}
-	}
-	if seeds != "" {
-		spec.Seeds = spec.Seeds[:0]
-		for _, s := range strings.Split(seeds, ",") {
-			v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-			if err != nil {
-				return spec, fmt.Errorf("bad seed %q: %w", s, err)
-			}
-			spec.Seeds = append(spec.Seeds, v)
-		}
-	}
-	if batches != "" {
-		for _, s := range strings.Split(batches, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || v < 1 {
-				return spec, fmt.Errorf("bad batch size %q (want a positive integer)", s)
-			}
-			spec.Batches = append(spec.Batches, v)
-		}
-	}
-	if orderings != "" {
-		for _, name := range strings.Split(orderings, ",") {
-			ord, err := nocbt.ParseOrdering(strings.TrimSpace(name))
-			if err != nil {
-				return spec, err
-			}
-			spec.Orderings = append(spec.Orderings, ord)
-		}
-	}
-	if codings != "" {
-		for _, name := range strings.Split(codings, ",") {
-			name = strings.TrimSpace(name)
-			if _, ok := nocbt.LookupLinkCoding(name); !ok {
-				return spec, fmt.Errorf("unknown link coding %q (registered: %v)", name, nocbt.LinkCodingNames())
-			}
-			spec.Codings = append(spec.Codings, name)
-		}
-	}
-	if precisions != "" {
-		for _, s := range strings.Split(precisions, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				return spec, fmt.Errorf("bad precision %q (want one of %v)", s, nocbt.FixedWidths())
-			}
-			if _, gerr := nocbt.FixedGeometry(v); gerr != nil {
-				return spec, fmt.Errorf("bad precision %q: %w", s, gerr)
-			}
-			spec.Precisions = append(spec.Precisions, v)
-		}
-	}
-	if topologies != "" {
-		for _, name := range strings.Split(topologies, ",") {
-			name = strings.TrimSpace(name)
-			if _, ok := nocbt.CanonicalTopologyName(name); !ok {
-				return spec, fmt.Errorf("unknown topology %q (registered: %v)", name, nocbt.TopologyNames())
-			}
-			spec.Topologies = append(spec.Topologies, name)
-		}
-	}
-	return spec, nil
+		return T(v), nil
+	}}
 }

@@ -84,19 +84,17 @@ func TestRunFormatErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "unknown format") {
 		t.Errorf("unknown format not rejected: %v", err)
 	}
-	if err := run([]string{"-format", "json", "all"}, &sb); err == nil {
+	if err := run([]string{"-format", "json", "-run", "all"}, &sb); err == nil {
 		t.Error("all with -format json not rejected")
 	}
-	if err := run([]string{"-run", "fig1", "fig1"}, &sb); err == nil {
-		t.Error("-run plus positional experiment not rejected")
+	if err := run([]string{"-run", "fig1", "fig1"}, &sb); err == nil ||
+		!strings.Contains(err.Error(), "unexpected argument") {
+		t.Errorf("-run plus positional experiment not rejected: %v", err)
 	}
-	if err := run([]string{"-json", "-format", "csv", "-run", "sweep"}, &sb); err == nil ||
-		!strings.Contains(err.Error(), "not both") {
-		t.Errorf("-json with explicit -format not rejected: %v", err)
-	}
-	if err := run([]string{"-json", "-run", "fig1"}, &sb); err == nil ||
-		!strings.Contains(err.Error(), "applies only to the sweep") {
-		t.Errorf("-json on a non-sweep experiment not rejected: %v", err)
+	// The legacy row-array -json flag is gone; -format json replaces it.
+	if err := run([]string{"-json", "-run", "sweep"}, &sb); err == nil ||
+		!strings.Contains(err.Error(), "not defined") {
+		t.Errorf("removed -json flag not rejected: %v", err)
 	}
 }
 
@@ -196,22 +194,22 @@ func TestRunOutputFileKeptOnFailure(t *testing.T) {
 // with context.DeadlineExceeded instead of simulating to completion.
 func TestRunTimeoutAborts(t *testing.T) {
 	var sb strings.Builder
-	err := run([]string{"-timeout", "1ns", "-quick", "-platforms", "4x4", "-formats", "fixed8", "sweep"}, &sb)
+	err := run([]string{"-timeout", "1ns", "-quick", "-platforms", "4x4", "-formats", "fixed8", "-run", "sweep"}, &sb)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("expired -timeout returned %v, want context.DeadlineExceeded", err)
 	}
 	sb.Reset()
-	if err := run([]string{"-timeout", "1m", "fig1"}, &sb); err != nil {
+	if err := run([]string{"-timeout", "1m", "-run", "fig1"}, &sb); err != nil {
 		t.Errorf("generous -timeout failed a fast experiment: %v", err)
 	}
-	if err := run([]string{"-timeout", "bogus", "fig1"}, &sb); err == nil {
+	if err := run([]string{"-timeout", "bogus", "-run", "fig1"}, &sb); err == nil {
 		t.Error("malformed -timeout accepted")
 	}
 }
 
 func TestRunFig1(t *testing.T) {
 	var sb strings.Builder
-	if err := run([]string{"fig1"}, &sb); err != nil {
+	if err := run([]string{"-run", "fig1"}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "E = x + y - xy/16") {
@@ -221,14 +219,14 @@ func TestRunFig1(t *testing.T) {
 
 func TestRunTable2AndPower(t *testing.T) {
 	var sb strings.Builder
-	if err := run([]string{"table2"}, &sb); err != nil {
+	if err := run([]string{"-run", "table2"}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "Tab. II") {
 		t.Errorf("table2 output wrong:\n%s", sb.String())
 	}
 	sb.Reset()
-	if err := run([]string{"power"}, &sb); err != nil {
+	if err := run([]string{"-run", "power"}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "link power") {
@@ -238,7 +236,7 @@ func TestRunTable2AndPower(t *testing.T) {
 
 func TestRunQuickTable1(t *testing.T) {
 	var sb strings.Builder
-	if err := run([]string{"-quick", "table1"}, &sb); err != nil {
+	if err := run([]string{"-quick", "-run", "table1"}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "Tab. I") {
@@ -251,19 +249,32 @@ func TestRunSweepJSON(t *testing.T) {
 		t.Skip("runs 3 NoC inferences; skipped in -short mode")
 	}
 	var sb strings.Builder
-	err := run([]string{"-quick", "-json", "-platforms", "4x4", "-formats", "fixed8", "sweep"}, &sb)
+	err := run([]string{"-quick", "-run", "sweep", "-platforms", "4x4", "-formats", "fixed8", "-format", "json"}, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows []map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &rows); err != nil {
-		t.Fatalf("sweep -json emitted invalid JSON: %v\n%s", err, sb.String())
+	var res nocbt.Result
+	if err := json.Unmarshal([]byte(sb.String()), &res); err != nil {
+		t.Fatalf("sweep -format json emitted invalid JSON: %v\n%s", err, sb.String())
 	}
-	if len(rows) != 3 {
-		t.Fatalf("expected 3 rows (one per ordering), got %d", len(rows))
+	if len(res.Tables) != 1 {
+		t.Fatalf("expected one sweep table, got %d", len(res.Tables))
 	}
-	if rows[0]["platform"] != "4x4 MC2" || rows[0]["format"] != "fixed-8" {
-		t.Errorf("unexpected sweep row: %v", rows[0])
+	table := res.Tables[0]
+	if len(table.Rows) != 3 {
+		t.Fatalf("expected 3 rows (one per ordering), got %d", len(table.Rows))
+	}
+	col := func(name string) any {
+		for i, c := range table.Columns {
+			if c == name {
+				return table.Rows[0][i]
+			}
+		}
+		t.Fatalf("sweep table has no %q column: %v", name, table.Columns)
+		return nil
+	}
+	if col("Platform") != "4x4 MC2" || col("Format") != "fixed-8" {
+		t.Errorf("unexpected sweep row: %v", table.Rows[0])
 	}
 }
 
@@ -276,54 +287,73 @@ func TestRunHelpIsNotAnError(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	var sb strings.Builder
-	if err := run([]string{"nosuch"}, &sb); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+	if err := run([]string{"-run", "nosuch"}, &sb); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
 		t.Errorf("unknown experiment not rejected: %v", err)
 	}
 	if err := run([]string{}, &sb); err == nil || !strings.Contains(err.Error(), "usage") {
 		t.Errorf("missing experiment not rejected: %v", err)
 	}
-	if err := run([]string{"-platforms", "9x9", "sweep"}, &sb); err == nil ||
+	if err := run([]string{"fig1"}, &sb); err == nil || !strings.Contains(err.Error(), "-run") {
+		t.Errorf("positional experiment not rejected: %v", err)
+	}
+	if err := run([]string{"-platforms", "9x9", "-run", "sweep"}, &sb); err == nil ||
 		!strings.Contains(err.Error(), "unknown platform") {
 		t.Errorf("bad platform not rejected: %v", err)
 	}
-	if err := run([]string{"-formats", "fp64", "sweep"}, &sb); err == nil ||
+	if err := run([]string{"-formats", "fp64", "-run", "sweep"}, &sb); err == nil ||
 		!strings.Contains(err.Error(), "unknown format") {
 		t.Errorf("bad format not rejected: %v", err)
 	}
-	if err := run([]string{"-seeds", "x", "sweep"}, &sb); err == nil ||
+	if err := run([]string{"-seeds", "x", "-run", "sweep"}, &sb); err == nil ||
 		!strings.Contains(err.Error(), "bad seed") {
 		t.Errorf("bad seed not rejected: %v", err)
 	}
-	if err := run([]string{"-seeds", "1,23x", "sweep"}, &sb); err == nil ||
+	if err := run([]string{"-seeds", "1,23x", "-run", "sweep"}, &sb); err == nil ||
 		!strings.Contains(err.Error(), "bad seed") {
 		t.Errorf("seed with trailing garbage not rejected: %v", err)
 	}
 }
 
+// TestSweepSpecParsing runs the sweep flags' vocabulary through
+// nocbt.SweepAxes.Spec, the one parser btexp and btserved share; malformed
+// integers never reach it because the list flags reject them.
 func TestSweepSpecParsing(t *testing.T) {
-	spec, err := sweepSpec("8x8mc4,8x8mc8", "float32", "lenet,darknet", "3,4", "1,4", "o0,hamming-nn", "none,businvert", "4,8", "mesh,torus", 1, false)
+	spec, err := nocbt.SweepAxes{
+		Platforms:  []string{"8x8mc4", "8x8mc8"},
+		Formats:    []string{"float32"},
+		Models:     []string{"lenet", "darknet"},
+		Seeds:      []int64{3, 4},
+		Batches:    []int{1, 4},
+		Orderings:  []string{"o0", "hamming-nn"},
+		Codings:    []string{"none", "businvert"},
+		Precisions: []int{4, 8},
+		Topologies: []string{"mesh", "torus"},
+	}.Spec(1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(spec.Batches) != 2 || spec.Batches[0] != 1 || spec.Batches[1] != 4 {
 		t.Errorf("batches parsed wrong: %+v", spec.Batches)
 	}
-	if _, err := sweepSpec("", "", "", "", "0", "", "", "", "", 1, false); err == nil {
-		t.Error("batch size 0 not rejected")
+	for _, bad := range []struct {
+		what string
+		axes nocbt.SweepAxes
+	}{
+		{"batch size 0", nocbt.SweepAxes{Batches: []int{0}}},
+		{"unknown ordering", nocbt.SweepAxes{Orderings: []string{"o9"}}},
+		{"unknown link coding", nocbt.SweepAxes{Codings: []string{"huffman"}}},
+		{"unsupported precision", nocbt.SweepAxes{Precisions: []int{7}}},
+		{"unknown topology", nocbt.SweepAxes{Topologies: []string{"hypercube"}}},
+	} {
+		if _, err := bad.axes.Spec(1, false); err == nil {
+			t.Errorf("%s not rejected", bad.what)
+		}
 	}
-	if _, err := sweepSpec("", "", "", "", "2x", "", "", "", "", 1, false); err == nil {
+	var sb strings.Builder
+	if err := run([]string{"-batches", "2x", "-run", "sweep"}, &sb); err == nil {
 		t.Error("malformed batch size not rejected")
 	}
-	if _, err := sweepSpec("", "", "", "", "", "o9", "", "", "", 1, false); err == nil {
-		t.Error("unknown ordering not rejected")
-	}
-	if _, err := sweepSpec("", "", "", "", "", "", "huffman", "", "", 1, false); err == nil {
-		t.Error("unknown link coding not rejected")
-	}
-	if _, err := sweepSpec("", "", "", "", "", "", "", "7", "", 1, false); err == nil {
-		t.Error("unsupported precision not rejected")
-	}
-	if _, err := sweepSpec("", "", "", "", "", "", "", "4x", "", 1, false); err == nil {
+	if err := run([]string{"-precisions", "4x", "-run", "sweep"}, &sb); err == nil {
 		t.Error("malformed precision not rejected")
 	}
 	if len(spec.Precisions) != 2 || spec.Precisions[0] != 4 || spec.Precisions[1] != 8 {
@@ -350,7 +380,12 @@ func TestSweepSpecParsing(t *testing.T) {
 	if len(spec.Topologies) != 2 || spec.Topologies[0] != "mesh" || spec.Topologies[1] != "torus" {
 		t.Errorf("topologies parsed wrong: %+v", spec.Topologies)
 	}
-	if _, err := sweepSpec("", "", "", "", "", "", "", "", "hypercube", 1, false); err == nil {
-		t.Error("unknown topology not rejected")
+	// The paper's long ordering aliases resolve through the shared parser.
+	alias, err := nocbt.SweepAxes{Orderings: []string{"baseline", "Separated"}}.Spec(1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(alias.Orderings) != 2 || alias.Orderings[0] != nocbt.O0 || alias.Orderings[1] != nocbt.O2 {
+		t.Errorf("ordering aliases parsed wrong: %+v", alias.Orderings)
 	}
 }

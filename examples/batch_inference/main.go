@@ -36,7 +36,7 @@ func microNet(seed int64) *dnn.Model {
 }
 
 func platform() nocbt.Platform {
-	cfg := nocbt.Platform8x8MC8(nocbt.Fixed8())
+	cfg := nocbt.MustPlatform(nocbt.PaperOptions8x8MC8(nocbt.Fixed8())...)
 	cfg.PEComputeCycles = 64 // one MAC per cycle over a full 64-pair segment
 	return cfg
 }
@@ -97,7 +97,7 @@ func main() {
 
 	// The same axis is available on the sweep grid.
 	rows, err := nocbt.RunSweep(ctx, nocbt.SweepSpec{
-		Platforms:  []nocbt.NamedPlatform{{Name: "8x8 MC8", Build: nocbt.Platform8x8MC8}},
+		Platforms:  nocbt.PaperPlatforms()[2:], // 8x8 MC8
 		Geometries: []nocbt.Geometry{nocbt.Fixed8()},
 		Seeds:      []int64{1},
 		Batches:    []int{1, 4},

@@ -20,7 +20,7 @@ func main() {
 	var btO0, btO2 int64
 	var cycles int64
 	for _, ord := range []nocbt.Ordering{nocbt.O0, nocbt.O2} {
-		r, err := nocbt.RunModelOnNoC(context.Background(), "4x4 MC2", nocbt.Platform4x4MC2(nocbt.Fixed8()), ord, model, input)
+		r, err := nocbt.RunModelOnNoC(context.Background(), "4x4 MC2", nocbt.DefaultPlatform().Build(nocbt.Fixed8()), ord, model, input)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -52,8 +52,22 @@ func main() {
 			m.name, e0*1e6, e2*1e6, e0/t*1e3, e2/t*1e3)
 	}
 
-	fmt.Println()
-	fmt.Print(nocbt.Table2Report())
-	fmt.Println()
-	fmt.Print(nocbt.LinkPowerReport(100 * reduction))
+	for _, exp := range []struct {
+		name   string
+		params nocbt.Params
+	}{
+		{"table2", nocbt.Params{}},
+		{"power", nocbt.Params{BTReductionPct: 100 * reduction}},
+	} {
+		res, err := nocbt.RunExperiment(context.Background(), exp.name, exp.params)
+		if err != nil {
+			log.Fatal(err)
+		}
+		text, err := nocbt.Render(res, nocbt.Text)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Println()
+		fmt.Print(text)
+	}
 }

@@ -24,8 +24,8 @@ import (
 // experiments ignore fields they have no use for.
 type Params struct {
 	// Seed fixes weight initialization, training and input synthesis.
-	// Every value is honored as given — 0 is a valid seed, as it was for
-	// the v1 report functions (cmd/btexp defaults its -seed flag to 1).
+	// Every value is honored as given — 0 is a valid seed (cmd/btexp
+	// defaults its -seed flag to 1).
 	Seed int64
 	// Trained selects converged weights for the with-NoC experiments
 	// (Fig. 12/13). The bit-level experiments always compare random vs
@@ -238,30 +238,15 @@ func (p Params) Fingerprint() ([]byte, error) {
 		for _, m := range s.Models {
 			fs.Models = append(fs.Models, string(m))
 		}
+		// Codings and topologies hash in display form, so every accepted
+		// spelling of one name shares an address; unknown names hash as
+		// written (the sweep rejects them before any result exists to
+		// cache).
 		for _, c := range s.Codings {
-			// Hash the canonical form so every accepted spelling of one
-			// coding shares an address; unknown names hash as written (the
-			// sweep rejects them before any result exists to cache).
-			if canonical, ok := flit.CanonicalLinkCodingName(c); ok {
-				if canonical == "" {
-					c = "none"
-				} else {
-					c = canonical
-				}
-			}
-			fs.Codings = append(fs.Codings, c)
+			fs.Codings = append(fs.Codings, flit.LinkCodingDisplayName(c))
 		}
 		for _, tn := range s.Topologies {
-			// Same canonicalization contract as Codings: accepted spellings
-			// share an address, unknown names hash as written.
-			if canonical, ok := CanonicalTopologyName(tn); ok {
-				if canonical == "" {
-					tn = "mesh"
-				} else {
-					tn = canonical
-				}
-			}
-			fs.Topologies = append(fs.Topologies, tn)
+			fs.Topologies = append(fs.Topologies, TopologyDisplayName(tn))
 		}
 		fp.Sweep = fs
 	}

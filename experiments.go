@@ -16,8 +16,7 @@ import (
 // (expectation surface), Tab. I (BT reduction on flit streams), Fig. 9
 // (popcount grid before/after ordering) and Figs. 10/11 (bit-level
 // distributions). Each is a registered Experiment producing a typed
-// *Result; the *Report functions are deprecated shims over the text
-// renderer. The with-NoC experiments live in experiments_noc.go.
+// *Result. The with-NoC experiments live in experiments_noc.go.
 
 func init() {
 	MustRegister(NewExperiment("fig1",
@@ -77,25 +76,6 @@ func fig1Result(p Params) *Result {
 		Tables:     []ResultTable{table},
 		Sections:   []Section{TextSection(sb.String())},
 	}
-}
-
-// Fig1Report tabulates the Eq. (2) expectation surface E(x, y) for 32-bit
-// values — the data behind Fig. 1 — as a textual grid sampled every `step`
-// counts.
-//
-// Deprecated: run the registered "fig1" experiment and Render the Result.
-func Fig1Report(step int) string {
-	return mustText(fig1Result(Params{Step: step}))
-}
-
-// mustText renders a result's text form; the section scripts built by this
-// package are statically correct, so a render error is a bug.
-func mustText(r *Result) string {
-	s, err := Render(r, Text)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // WeightSource names the four Tab. I weight populations.
@@ -242,13 +222,7 @@ func table1Params(p Params) Table1Config {
 // table1Result measures Tab. I with the registry's parameter defaulting
 // (zero config → the paper's setup at Params.Seed).
 func table1Result(p Params) *Result {
-	return table1ResultFor(table1Params(p))
-}
-
-// table1ResultFor measures Tab. I for the configuration exactly as given —
-// the deprecated Table1Report shim routes here, so its v1 semantics
-// (including Table1's panic on an invalid config) are preserved.
-func table1ResultFor(cfg Table1Config) *Result {
+	cfg := table1Params(p)
 	paper := map[string][3]float64{
 		"Float-32 random":  {113.27, 90.18, 20.38},
 		"Fixed-8 random":   {31.01, 22.42, 27.70},
@@ -278,13 +252,6 @@ func table1ResultFor(cfg Table1Config) *Result {
 			TableSection(0),
 		},
 	}
-}
-
-// Table1Report renders the measured Tab. I next to the paper's numbers.
-//
-// Deprecated: run the registered "table1" experiment and Render the Result.
-func Table1Report(cfg Table1Config) string {
-	return mustText(table1ResultFor(cfg))
 }
 
 // fig9Result renders the per-flit popcount grid of a small weight stream
@@ -332,14 +299,6 @@ func fig9Result(p Params) *Result {
 		Tables:     []ResultTable{popcounts("before", baseline), popcounts("after", orderedFlits)},
 		Sections:   []Section{TextSection(sb.String())},
 	}
-}
-
-// Fig9Report renders the per-flit popcount grid of a small weight stream
-// before and after ordering — the paper's Fig. 9 visualization.
-//
-// Deprecated: run the registered "fig9" experiment and Render the Result.
-func Fig9Report(flitsToShow int) string {
-	return mustText(fig9Result(Params{Flits: flitsToShow}))
 }
 
 // bitLevelResult reproduces Fig. 10 (float-32) or Fig. 11 (fixed-8): the
@@ -400,18 +359,4 @@ func bitLevelResult(name string, format bitutil.Format, p Params) *Result {
 		Tables:     []ResultTable{table},
 		Sections:   []Section{TextSection(sb.String())},
 	}
-}
-
-// BitLevelReport reproduces Fig. 10 (float-32) or Fig. 11 (fixed-8): the
-// per-bit-position '1' probability for random and trained weights, and the
-// per-position transition probability for baseline versus ordered streams.
-//
-// Deprecated: run the registered "fig10"/"fig11" experiment and Render the
-// Result.
-func BitLevelReport(format bitutil.Format) string {
-	name := "fig10"
-	if format == bitutil.Fixed8 {
-		name = "fig11"
-	}
-	return mustText(bitLevelResult(name, format, Params{}))
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"nocbt/internal/hwmodel"
+	"nocbt/internal/sweep"
 )
 
 // This file implements the paper's *with-NoC* experiments (Figs. 12/13),
@@ -29,149 +30,26 @@ func init() {
 }
 
 // NoCRunResult is one (platform, geometry, ordering) measurement of a full
-// DNN inference through the NoC.
-type NoCRunResult struct {
-	Platform string
-	// Model is the model's display name (e.g. "LeNet"); Workload is the
-	// sweep-grid workload name the run came from (e.g. "lenet", matching
-	// SweepModel). Sweep paths fill both; direct RunModelOnNoC calls leave
-	// Workload empty.
-	Model    string
-	Workload string
-	Geometry Geometry
-	Ordering Ordering
-	// Coding is the link coding's display name; empty and "none" both mean
-	// the paper's plain binary links.
-	Coding string
-	// Topology is the canonical interconnect name; empty means the default
-	// mesh, the paper's platform.
-	Topology string
-	// Seed is the weight/input seed of the run (sweep paths fill it in;
-	// direct RunModelOnNoC calls leave it 0 unless the caller sets it).
-	Seed int64
-	// Batch is the inference batch size (1 = serial Infer).
-	Batch int
-	// Precision is the uniform lane-width override the sweep's precision
-	// axis applied (0 when unused — the geometry's own format ran).
-	Precision int
-	TotalBT   int64
-	Cycles    int64
-	Packets   int64
-	// Flits counts total injected flits (headers included) — the traffic
-	// volume a narrower precision shrinks.
-	Flits int64
-	// RouterFlits counts router-to-router link traversals; RouterFlits /
-	// Flits is the mean hop count, which torus wrap links and cmesh
-	// concentration shrink.
-	RouterFlits int64
-	// MACBitOps, WeightRegBits and FlitBits are the engine's per-component
-	// activity counters (accel.EnergyCounters); with TotalBT as the link
-	// transition count they price a per-component energy estimate.
-	MACBitOps     int64
-	WeightRegBits int64
-	FlitBits      int64
-	// Throughput is inferences per thousand simulated cycles and
-	// AvgLatencyCycles the mean per-inference latency; for batch 1 both
-	// degenerate to the single inference's cycle count.
-	Throughput       float64
-	AvgLatencyCycles float64
-	// ReductionPct is relative to the same platform/geometry's O0 run.
-	ReductionPct float64
-}
-
-// codingDisplayName canonicalizes a platform's LinkCoding for result rows:
-// the empty (uncoded) spelling renders as "none", matching the sweep
-// runner's display form so serial and swept rows compare equal.
-func codingDisplayName(c string) string {
-	if c == "" {
-		return "none"
-	}
-	return c
-}
+// DNN inference through the NoC — the row RunModelOnNoC,
+// RunModelBatchOnNoC and RunSweep all return. ReductionPct is relative to
+// the same group's O0 run and is filled in by RunSweep only.
+type NoCRunResult = sweep.Result
 
 // RunModelOnNoC executes one inference of the model on the platform with
 // the given ordering and returns the measurement. The context cancels the
 // simulation between cycles.
 func RunModelOnNoC(ctx context.Context, name string, cfg Platform, ord Ordering, model *Model, input *Tensor) (NoCRunResult, error) {
-	cfg.Ordering = ord
-	eng, err := NewEngine(cfg, model)
-	if err != nil {
-		return NoCRunResult{}, err
-	}
-	if t := TracerFromContext(ctx); t != nil {
-		eng.SetSpanTracer(t)
-	}
-	if _, err := eng.Infer(ctx, input); err != nil {
-		return NoCRunResult{}, err
-	}
-	ec := eng.EnergyCounters()
-	topology, _ := CanonicalTopologyName(cfg.Mesh.Topology)
-	res := NoCRunResult{
-		Platform:      name,
-		Model:         model.Name(),
-		Geometry:      cfg.Geometry,
-		Ordering:      ord,
-		Coding:        codingDisplayName(cfg.LinkCoding),
-		Topology:      topology,
-		Batch:         1,
-		TotalBT:       eng.TotalBT(),
-		Cycles:        eng.Cycles(),
-		Packets:       eng.TaskPackets() + eng.ResultPackets(),
-		Flits:         eng.TotalFlits(),
-		RouterFlits:   eng.NoCStats().RouterFlits,
-		MACBitOps:     ec.MACBitOps,
-		WeightRegBits: ec.WeightRegBits,
-		FlitBits:      ec.FlitBits,
-	}
-	if res.Cycles > 0 {
-		res.Throughput = 1000 / float64(res.Cycles)
-		res.AvgLatencyCycles = float64(res.Cycles)
-	}
-	return res, nil
+	return RunModelBatchOnNoC(ctx, name, cfg, ord, model, input, 1)
 }
 
 // RunModelBatchOnNoC executes a batch of identical inferences concurrently
 // on the mesh (Engine.InferRepeated under PipelinedLayers) and returns the
 // measurement with batch throughput and latency filled in — the same
-// arithmetic the sweep runner's batch axis records.
+// measurement the sweep runner's batch axis records. Batch 1 is the serial
+// RunModelOnNoC row.
 func RunModelBatchOnNoC(ctx context.Context, name string, cfg Platform, ord Ordering, model *Model, input *Tensor, batch int) (NoCRunResult, error) {
-	if batch < 1 {
-		return NoCRunResult{}, fmt.Errorf("nocbt: batch size %d < 1", batch)
-	}
-	if batch == 1 {
-		return RunModelOnNoC(ctx, name, cfg, ord, model, input)
-	}
 	cfg.Ordering = ord
-	cfg.LayerMode = PipelinedLayers
-	eng, err := NewEngine(cfg, model)
-	if err != nil {
-		return NoCRunResult{}, err
-	}
-	if t := TracerFromContext(ctx); t != nil {
-		eng.SetSpanTracer(t)
-	}
-	if _, err := eng.InferRepeated(ctx, input, batch); err != nil {
-		return NoCRunResult{}, err
-	}
-	st := eng.LastBatchStats()
-	ec := eng.EnergyCounters()
-	return NoCRunResult{
-		Platform:         name,
-		Model:            model.Name(),
-		Geometry:         cfg.Geometry,
-		Ordering:         ord,
-		Coding:           codingDisplayName(cfg.LinkCoding),
-		Batch:            batch,
-		TotalBT:          eng.TotalBT(),
-		Cycles:           eng.Cycles(),
-		Packets:          eng.TaskPackets() + eng.ResultPackets(),
-		Flits:            eng.TotalFlits(),
-		MACBitOps:        ec.MACBitOps,
-		WeightRegBits:    ec.WeightRegBits,
-		FlitBits:         ec.FlitBits,
-		Throughput:       st.Throughput(),
-		AvgLatencyCycles: st.AvgLatencyCycles,
-	}, nil
+	return sweep.Measure(ctx, name, cfg, model, input, batch)
 }
 
 // fig12Spec is the Fig. 12 grid: LeNet on the paper's three platforms,
@@ -195,16 +73,9 @@ func Fig12(ctx context.Context, seed int64, trained bool) ([]NoCRunResult, error
 	return RunSweep(ctx, fig12Spec(seed, trained))
 }
 
-// fig12Result adapts the registered experiment's Params onto the grid.
+// fig12Result runs the Fig. 12 grid for the registered experiment.
 func fig12Result(ctx context.Context, p Params) (*Result, error) {
-	return fig12ResultAt(ctx, p.Seed, p.Trained)
-}
-
-// fig12ResultAt measures the Fig. 12 grid for the seed exactly as given
-// (0 included) — both the registry path and the deprecated Fig12Report
-// shim land here with v1 seed semantics.
-func fig12ResultAt(ctx context.Context, seed int64, trained bool) (*Result, error) {
-	rows, err := Fig12(ctx, seed, trained)
+	rows, err := Fig12(ctx, p.Seed, p.Trained)
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +90,7 @@ func fig12ResultAt(ctx context.Context, seed int64, trained bool) (*Result, erro
 	return &Result{
 		Experiment: "fig12",
 		Title:      "Fig. 12 — BTs across NoC sizes (LeNet)",
-		Meta:       map[string]any{"seed": seed, "trained": trained},
+		Meta:       map[string]any{"seed": p.Seed, "trained": p.Trained},
 		Tables:     []ResultTable{table},
 		Sections: []Section{
 			TextSection("Fig. 12 — BTs across NoC sizes (LeNet)\n"),
@@ -229,17 +100,6 @@ func fig12ResultAt(ctx context.Context, seed int64, trained bool) (*Result, erro
 				"8x8/MC4 shows the highest absolute BT (most hops per MC).\n"),
 		},
 	}, nil
-}
-
-// Fig12Report renders the sweep with the paper's reported reduction ranges.
-//
-// Deprecated: run the registered "fig12" experiment and Render the Result.
-func Fig12Report(seed int64, trained bool) (string, error) {
-	r, err := fig12ResultAt(context.Background(), seed, trained)
-	if err != nil {
-		return "", err
-	}
-	return Render(r, Text)
 }
 
 // fig13Spec is the Fig. 13 grid: LeNet and the DarkNet-like model on the
@@ -262,15 +122,9 @@ func Fig13(ctx context.Context, seed int64, trained bool) ([]NoCRunResult, error
 	return RunSweep(ctx, fig13Spec(seed, trained))
 }
 
-// fig13Result adapts the registered experiment's Params onto the grid.
+// fig13Result runs the Fig. 13 grid for the registered experiment.
 func fig13Result(ctx context.Context, p Params) (*Result, error) {
-	return fig13ResultAt(ctx, p.Seed, p.Trained)
-}
-
-// fig13ResultAt measures the Fig. 13 grid for the seed exactly as given
-// (see fig12ResultAt).
-func fig13ResultAt(ctx context.Context, seed int64, trained bool) (*Result, error) {
-	rows, err := Fig13(ctx, seed, trained)
+	rows, err := Fig13(ctx, p.Seed, p.Trained)
 	if err != nil {
 		return nil, err
 	}
@@ -289,7 +143,7 @@ func fig13ResultAt(ctx context.Context, seed int64, trained bool) (*Result, erro
 	return &Result{
 		Experiment: "fig13",
 		Title:      "Fig. 13 — normalized BTs for different NN models (4x4 MC2)",
-		Meta:       map[string]any{"seed": seed, "trained": trained},
+		Meta:       map[string]any{"seed": p.Seed, "trained": p.Trained},
 		Tables:     []ResultTable{table},
 		Sections: []Section{
 			TextSection("Fig. 13 — normalized BTs for different NN models (4x4 MC2)\n"),
@@ -298,17 +152,6 @@ func fig13ResultAt(ctx context.Context, seed int64, trained bool) (*Result, erro
 				"separated-ordering is always best.\n"),
 		},
 	}, nil
-}
-
-// Fig13Report renders the model sweep with normalized BT columns.
-//
-// Deprecated: run the registered "fig13" experiment and Render the Result.
-func Fig13Report(seed int64, trained bool) (string, error) {
-	r, err := fig13ResultAt(context.Background(), seed, trained)
-	if err != nil {
-		return "", err
-	}
-	return Render(r, Text)
 }
 
 // table2Result builds the hardware cost comparison: our structural
@@ -371,15 +214,6 @@ func table2Result() *Result {
 	}
 }
 
-// Table2Report renders the hardware cost comparison: our structural
-// gate-equivalent model for both flit formats next to the paper's Synopsys
-// DC synthesis results.
-//
-// Deprecated: run the registered "table2" experiment and Render the Result.
-func Table2Report() string {
-	return mustText(table2Result())
-}
-
 // linkPowerResult reproduces the §V-C arithmetic: link power for the
 // paper's link energy and Banerjee's model, before and after applying a BT
 // reduction rate (the paper uses its best with-NoC figure, 40.85%).
@@ -410,13 +244,4 @@ func linkPowerResult(btReductionPct float64) *Result {
 			TextSection("\nPaper: 155.008 → 91.688 mW (ours), 476.672 → 281.951 mW (Banerjee) at 40.85% reduction.\n"),
 		},
 	}
-}
-
-// LinkPowerReport reproduces the §V-C arithmetic: link power for the
-// paper's link energy and Banerjee's model, before and after applying a BT
-// reduction rate (the paper uses its best with-NoC figure, 40.85%).
-//
-// Deprecated: run the registered "power" experiment and Render the Result.
-func LinkPowerReport(btReductionPct float64) string {
-	return mustText(linkPowerResult(btReductionPct))
 }

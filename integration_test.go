@@ -1,7 +1,6 @@
 package nocbt
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -17,8 +16,8 @@ import (
 
 // The root integration suite exercises the figure-reproduction entry points
 // end to end: the concurrent sweep runner against the serial reference
-// loops (determinism under concurrency), and golden files for the
-// without-NoC report renderers.
+// loops (determinism under concurrency), plus the golden-file helper the
+// experiment suites share.
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files under testdata/")
 
@@ -189,12 +188,12 @@ func TestSweepReportAndJSON(t *testing.T) {
 			t.Errorf("sweep report missing %q:\n%s", want, report)
 		}
 	}
-	var buf bytes.Buffer
-	if err := WriteSweepJSON(&buf, rows); err != nil {
+	b, err := json.Marshal(rows)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var decoded []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
+	if err := json.Unmarshal(b, &decoded); err != nil {
 		t.Fatalf("invalid sweep JSON: %v", err)
 	}
 	if len(decoded) != len(rows) || decoded[0]["model"] != "LeNet" {
@@ -228,22 +227,4 @@ func checkGolden(t *testing.T, name, got string) {
 	if got != string(want) {
 		t.Errorf("%s drifted from golden file.\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
 	}
-}
-
-// TestTable1ReportGolden pins the full rendered Tab. I (small stream) —
-// table layout, measured values and paper columns alike.
-func TestTable1ReportGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("uses trained LeNet; skipped in -short mode")
-	}
-	cfg := Table1Config{Packets: 300, KernelSize: 25, LanesPerFlit: 8, Seed: 1}
-	checkGolden(t, "table1_report", Table1Report(cfg))
-}
-
-// TestFig9ReportGolden pins the rendered popcount grids of Fig. 9.
-func TestFig9ReportGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("uses trained LeNet; skipped in -short mode")
-	}
-	checkGolden(t, "fig9_report", Fig9Report(6))
 }

@@ -112,8 +112,8 @@ func TestInferPreRunCancelDoesNotPoison(t *testing.T) {
 	}
 }
 
-// TestInferNilContextDefaultsToBackground keeps nil-context callers (the
-// deprecated v1 shims route through here) working instead of panicking.
+// TestInferNilContextDefaultsToBackground keeps nil-context callers
+// working instead of panicking.
 func TestInferNilContextDefaultsToBackground(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := microNet(rng)

@@ -237,6 +237,21 @@ func CanonicalLinkCodingName(name string) (canonical string, ok bool) {
 	return scheme.Name(), true
 }
 
+// LinkCodingDisplayName renders a coding name for result rows and content
+// addresses: "none" for uncoded links, the registered spelling otherwise.
+// Unknown names come back as written.
+func LinkCodingDisplayName(name string) string {
+	canonical, ok := CanonicalLinkCodingName(name)
+	switch {
+	case !ok:
+		return name
+	case canonical == "":
+		return "none"
+	default:
+		return canonical
+	}
+}
+
 // LinkCodingNames returns the registered coding names, sorted, with "none"
 // first.
 func LinkCodingNames() []string {

@@ -79,10 +79,11 @@ var Targets = []Target{
 	{Pkg: "nocbt", Type: "Params", Mode: Serialized, Serializers: []string{"Fingerprint", "withDefaults", "table1Params"}},
 	{Pkg: "nocbt", Type: "SweepSpec", Mode: Serialized, Serializers: []string{"Fingerprint"}},
 	{Pkg: "nocbt", Type: "Table1Config", Mode: JSONVisible},
-	// Serving specs reach the cache key through the platform they build:
-	// a field that never reaches Build cannot affect the fingerprint.
+	// By-name specs reach the cache key through what they build: a field
+	// that never reaches Build (a platform) or Spec (a sweep grid) cannot
+	// affect the fingerprint.
+	{Pkg: "nocbt", Type: "SweepAxes", Mode: Serialized, Serializers: []string{"Spec"}},
 	{Pkg: "nocbt/internal/serve", Type: "PlatformSpec", Mode: Serialized, Serializers: []string{"Build", "withDefaults"}},
-	{Pkg: "nocbt/internal/serve", Type: "SweepParams", Mode: Serialized, Serializers: []string{"toParams"}},
 }
 
 const marker = "fingerprint:ignore"

@@ -13,6 +13,7 @@ func TestFingerprintcheckFixtures(t *testing.T) {
 	fingerprintcheck.Targets = []fingerprintcheck.Target{
 		{Pkg: "fixture/a", Type: "JSONConfig", Mode: fingerprintcheck.JSONVisible},
 		{Pkg: "fixture/a", Type: "Spec", Mode: fingerprintcheck.Serialized, Serializers: []string{"Serialize", "nameOf"}},
+		{Pkg: "fixture/a", Type: "Axes", Mode: fingerprintcheck.Serialized, Serializers: []string{"Spec"}},
 	}
 	linttest.Run(t, fingerprintcheck.Analyzer, "../testdata/fingerprintcheck/a")
 }

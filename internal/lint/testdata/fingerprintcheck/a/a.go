@@ -1,9 +1,12 @@
 // Package a is the fingerprintcheck fixture: one JSON-marshaled config
-// struct and one hand-serialized spec struct, each with conforming and
-// violating fields.
+// struct, one hand-serialized spec struct and one by-name axes struct
+// resolved by a Spec method, each with conforming and violating fields.
 package a
 
-import "encoding/json"
+import (
+	"encoding/json"
+	"strings"
+)
 
 // JSONConfig fingerprints as json.Marshal of the whole value.
 type JSONConfig struct {
@@ -54,3 +57,17 @@ func Serialize(s Spec) ([]byte, error) {
 // nameOf is a second serializer hop, matching how the real
 // Params.Fingerprint leans on table1Params.
 func nameOf(s Spec) string { return s.Name }
+
+// Axes is a by-name grid that its Spec method resolves, the shape of
+// nocbt.SweepAxes: an axis Spec never reads cannot reach the fingerprint.
+type Axes struct {
+	// Formats is read by Spec.
+	Formats []string
+	// Topologies is never read by Spec and has no marker.
+	Topologies []string // want `Axes\.Topologies never reaches the canonical fingerprint`
+}
+
+// Spec resolves the axes and forgets Topologies.
+func (a Axes) Spec() (Spec, error) {
+	return Spec{Name: strings.Join(a.Formats, ",")}, nil
+}

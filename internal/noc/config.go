@@ -121,16 +121,3 @@ func (c Config) XY(node int) (x, y int) { return node % c.Width, node / c.Width 
 
 // Node converts coordinates to a node ID.
 func (c Config) Node(x, y int) int { return y*c.Width + x }
-
-// InterRouterLinks returns the mesh topology's unidirectional
-// router-to-router link count: 2 per adjacent pair. The paper quotes 112
-// links for an 8×8 mesh, counting each adjacent pair once (bidirectional
-// pairs): that is InterRouterLinks()/2.
-//
-// Deprecated shim: this is the mesh formula regardless of Config.Topology;
-// topology-aware callers should use BuildTopology().Links() instead.
-func (c Config) InterRouterLinks() int {
-	horizontal := (c.Width - 1) * c.Height
-	vertical := c.Width * (c.Height - 1)
-	return 2 * (horizontal + vertical)
-}

@@ -45,17 +45,15 @@ func TestXYNodeRoundTrip(t *testing.T) {
 
 func TestInterRouterLinksPaperCount(t *testing.T) {
 	// The paper's §V-C counts 112 inter-router links in an 8×8 NoC
-	// (bidirectional pairs); unidirectional that is 224.
-	c := Config{Width: 8, Height: 8}
-	if got := c.InterRouterLinks(); got != 224 {
-		t.Errorf("8x8 unidirectional links = %d, want 224", got)
-	}
-	if got := c.InterRouterLinks() / 2; got != 112 {
-		t.Errorf("8x8 bidirectional pairs = %d, want 112 (paper)", got)
-	}
-	c44 := Config{Width: 4, Height: 4}
-	if got := c44.InterRouterLinks(); got != 48 {
-		t.Errorf("4x4 unidirectional links = %d, want 48", got)
+	// (bidirectional pairs); the mesh topology counts them unidirectional.
+	for _, c := range []struct{ w, h, want int }{{8, 8, 224}, {4, 4, 48}} {
+		topo, err := Config{Width: c.w, Height: c.h}.BuildTopology()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := topo.Links(); got != c.want {
+			t.Errorf("%dx%d unidirectional links = %d, want %d", c.w, c.h, got, c.want)
+		}
 	}
 }
 

@@ -272,10 +272,16 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("unknown experiment %q (available: %v)", req.Name, nocbt.ExperimentNames()))
 		return
 	}
-	params, err := req.Params.toParams()
-	if err != nil {
-		s.httpError(w, r, http.StatusBadRequest, err)
-		return
+	wire := req.Params
+	params := nocbt.Params{Seed: wire.Seed, Trained: wire.Trained, Quick: wire.Quick,
+		Step: wire.Step, Flits: wire.Flits, BTReductionPct: wire.BTReductionPct}
+	if wire.Sweep != nil {
+		spec, err := wire.Sweep.Spec(wire.Seed, wire.Trained)
+		if err != nil {
+			s.httpError(w, r, http.StatusBadRequest, fmt.Errorf("serve: %w", err))
+			return
+		}
+		params.Sweep = &spec
 	}
 	key, err := nocbt.ExperimentCacheKey(req.Name, params)
 	if err != nil {

@@ -341,10 +341,10 @@ func TestHTTPErrorPaths(t *testing.T) {
 		{"bad mesh", "/v1/infer", InferRequest{Model: "tiny", Platform: PlatformSpec{Width: 1, Height: 1}}, http.StatusBadRequest},
 		{"unknown experiment", "/v1/experiments/run", ExperimentRunRequest{Name: "fig99"}, http.StatusNotFound},
 		{"bad sweep platform", "/v1/experiments/run",
-			ExperimentRunRequest{Name: "sweep", Params: ExperimentParams{Sweep: &SweepParams{Platforms: []string{"9x9"}}}},
+			ExperimentRunRequest{Name: "sweep", Params: ExperimentParams{Sweep: &nocbt.SweepAxes{Platforms: []string{"9x9"}}}},
 			http.StatusBadRequest},
 		{"bad sweep model", "/v1/experiments/run",
-			ExperimentRunRequest{Name: "sweep", Params: ExperimentParams{Sweep: &SweepParams{Models: []string{"resnet"}}}},
+			ExperimentRunRequest{Name: "sweep", Params: ExperimentParams{Sweep: &nocbt.SweepAxes{Models: []string{"resnet"}}}},
 			http.StatusBadRequest},
 	}
 	for _, tc := range cases {
@@ -426,23 +426,23 @@ func TestPlatformSpecRegistryStrategies(t *testing.T) {
 // TestSweepParamsOrderingsAndCodings: the sweep wire params accept the new
 // axes and reject unknown names.
 func TestSweepParamsOrderingsAndCodings(t *testing.T) {
-	params, err := ExperimentParams{Sweep: &SweepParams{
+	spec, err := nocbt.SweepAxes{
 		Orderings: []string{"o0", "popcount-asc"},
 		Codings:   []string{"none", "gray"},
-	}}.toParams()
+	}.Spec(0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(params.Sweep.Orderings) != 2 || params.Sweep.Orderings[1] != nocbt.PopcountAsc {
-		t.Errorf("orderings lowered wrong: %+v", params.Sweep.Orderings)
+	if len(spec.Orderings) != 2 || spec.Orderings[1] != nocbt.PopcountAsc {
+		t.Errorf("orderings lowered wrong: %+v", spec.Orderings)
 	}
-	if len(params.Sweep.Codings) != 2 || params.Sweep.Codings[1] != "gray" {
-		t.Errorf("codings lowered wrong: %+v", params.Sweep.Codings)
+	if len(spec.Codings) != 2 || spec.Codings[1] != "gray" {
+		t.Errorf("codings lowered wrong: %+v", spec.Codings)
 	}
-	if _, err := (ExperimentParams{Sweep: &SweepParams{Orderings: []string{"o7"}}}).toParams(); err == nil {
+	if _, err := (nocbt.SweepAxes{Orderings: []string{"o7"}}).Spec(0, false); err == nil {
 		t.Error("unknown sweep ordering accepted")
 	}
-	if _, err := (ExperimentParams{Sweep: &SweepParams{Codings: []string{"huffman"}}}).toParams(); err == nil {
+	if _, err := (nocbt.SweepAxes{Codings: []string{"huffman"}}).Spec(0, false); err == nil {
 		t.Error("unknown sweep coding accepted")
 	}
 }

@@ -1,20 +1,24 @@
 package sweep
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"nocbt/internal/flit"
 	"nocbt/internal/noc"
 	"nocbt/internal/stats"
 )
 
-// Result is one measured grid point. The string fields duplicate the typed
-// Geometry/Ordering so the JSON form is self-describing without leaking the
-// internal types into serialized output.
+// Result is one with-NoC measurement: one DNN inference (or batch of
+// inferences) through the NoC for one (platform, format, ordering) point,
+// whether it came from a sweep grid or a direct Measure call. The string
+// fields duplicate the typed Geometry/Ordering so the JSON form is
+// self-describing without leaking the internal types into serialized
+// output.
 type Result struct {
-	Platform     string        `json:"platform"`
+	Platform string `json:"platform"`
+	// Workload is the sweep-grid workload name the run came from (e.g.
+	// "lenet"); Model is the model's display name (e.g. "LeNet"). Direct
+	// Measure calls leave Workload empty.
 	Workload     string        `json:"workload"`
 	Model        string        `json:"model"`
 	Geometry     flit.Geometry `json:"-"`
@@ -27,11 +31,13 @@ type Result struct {
 	// Topology is the canonical interconnect name ("" = the default mesh,
 	// omitted from JSON so pre-topology rows are unchanged).
 	Topology string `json:"topology,omitempty"`
-	Seed     int64  `json:"seed"`
+	// Seed is the weight/input seed of a sweep row (0 for direct Measure
+	// calls unless the caller sets it).
+	Seed int64 `json:"seed"`
 	// Batch is the inference batch size of the run (1 = serial Infer).
 	Batch int `json:"batch"`
-	// Precision is the uniform lane-width override the job swept (0 when
-	// the precision axis was unused — the geometry's own format applied).
+	// Precision is the uniform lane-width override the sweep's precision
+	// axis applied (0 when unused — the geometry's own format ran).
 	Precision int   `json:"precision,omitempty"`
 	TotalBT   int64 `json:"total_bt"`
 	Cycles    int64 `json:"cycles"`
@@ -59,28 +65,17 @@ type Result struct {
 	ReductionPct float64 `json:"reduction_pct"`
 }
 
-// WriteJSON emits the results as an indented JSON array.
-func WriteJSON(w io.Writer, results []Result) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(results)
-}
-
 // RenderTable renders the results with the repository's standard table
 // formatter, one row per grid point in sweep order.
 func RenderTable(results []Result) string {
 	t := stats.NewTable("Platform", "Topo", "Model", "Format", "Prec", "Ordering", "Coding", "Seed", "Batch",
 		"Total BT", "Flits", "Cycles", "Packets", "Inf/kcycle", "Reduction %")
 	for _, r := range results {
-		coding := r.Coding
-		if coding == "" {
-			coding = "none" // rows predating the coding axis
-		}
 		prec := "-"
 		if r.Precision > 0 {
 			prec = fmt.Sprintf("%d", r.Precision)
 		}
-		t.AddRowf(r.Platform, noc.TopologyDisplayName(r.Topology), r.Model, r.Format, prec, r.OrderingName, coding, r.Seed, r.Batch,
+		t.AddRowf(r.Platform, noc.TopologyDisplayName(r.Topology), r.Model, r.Format, prec, r.OrderingName, r.Coding, r.Seed, r.Batch,
 			r.TotalBT, r.Flits, r.Cycles, r.Packets, r.Throughput, r.ReductionPct)
 	}
 	return t.String()

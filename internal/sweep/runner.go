@@ -126,10 +126,9 @@ func (r *runner) workload(w Workload, seed int64) *workloadEntry {
 	return e
 }
 
-// runJob measures one grid point: build the platform, clone the shared
-// model for race-free inference, run it through the NoC. Batch sizes above
-// one share the mesh between all inferences via Engine.InferBatch; size one
-// keeps the classic serial Infer path.
+// runJob measures one grid point: build the platform, apply the job's
+// precision, coding and topology overrides, and Measure a private clone of
+// the shared model.
 func (r *runner) runJob(ctx context.Context, job Job) (Result, error) {
 	entry := r.workload(job.Workload, job.Seed)
 	if entry.err != nil {
@@ -137,36 +136,42 @@ func (r *runner) runJob(ctx context.Context, job Job) (Result, error) {
 	}
 	cfg := job.Platform.Build(job.Geometry)
 	cfg.Ordering = job.Ordering
-	precision := job.Precision
-	if precision > 0 && cfg.Geometry.Format.IsFixed() {
+	if job.Precision > 0 && cfg.Geometry.Format.IsFixed() {
 		// A uniform lane-width override: every NoC layer flitizes at this
 		// width. Non-fixed geometries skip the axis (precision stays in the
 		// row label, the engine keeps the geometry's own format).
-		cfg.Precisions = []int{precision}
+		cfg.Precisions = []int{job.Precision}
 	}
 	if job.Coding != "" {
 		// A listed coding — "none" included — overrides the platform's own
 		// LinkCoding; an empty axis value keeps it.
 		cfg.LinkCoding = job.Coding
 	}
-	// The row reports the coding the engine actually runs (the platform's
-	// own when the axis is empty), in canonical display form.
-	effCoding, ok := flit.CanonicalLinkCodingName(cfg.LinkCoding)
-	if !ok {
-		return Result{}, fmt.Errorf("unknown link coding %q", cfg.LinkCoding)
-	}
 	if job.Topology != "" {
 		// A listed topology — "mesh" included — overrides the platform's
 		// own interconnect; an empty axis value keeps it.
 		cfg.Mesh.Topology = job.Topology
 	}
-	effTopology, ok := noc.CanonicalTopologyName(cfg.Mesh.Topology)
-	if !ok {
-		return Result{}, fmt.Errorf("unknown topology %q", cfg.Mesh.Topology)
+	res, err := Measure(ctx, job.Platform.Name, cfg, entry.model.CloneForInference(), entry.input, job.Batch)
+	if err != nil {
+		return Result{}, err
 	}
-	batch := job.Batch
+	res.Workload = job.Workload.Name
+	res.Seed = job.Seed
+	res.Precision = job.Precision
+	return res, nil
+}
+
+// Measure runs the model through the NoC on one engine built from cfg — a
+// single Infer at batch 1, or batch identical inferences sharing the mesh
+// through InferRepeated under PipelinedLayers — and reads every counter
+// into a Result. The row carries the platform name and the coding and
+// topology the engine actually ran, in canonical form. Workload, Seed and
+// Precision are grid coordinates the caller fills in; ReductionPct needs
+// the group's baseline row.
+func Measure(ctx context.Context, platform string, cfg accel.Config, model *dnn.Model, input *tensor.Tensor, batch int) (Result, error) {
 	if batch < 1 {
-		batch = 1
+		return Result{}, fmt.Errorf("sweep: batch size %d < 1", batch)
 	}
 	if batch > 1 {
 		// The batch axis measures sustained concurrent traffic; the
@@ -174,7 +179,6 @@ func (r *runner) runJob(ctx context.Context, job Job) (Result, error) {
 		// serial rows.
 		cfg.LayerMode = accel.PipelinedLayers
 	}
-	model := entry.model.CloneForInference()
 	eng, err := accel.New(cfg, model)
 	if err != nil {
 		return Result{}, err
@@ -182,23 +186,22 @@ func (r *runner) runJob(ctx context.Context, job Job) (Result, error) {
 	if t := obs.FromContext(ctx); t != nil {
 		eng.SetSpanTracer(t)
 	}
+	// accel.New has validated both names, so the canonical forms exist.
+	topology, _ := noc.CanonicalTopologyName(cfg.Mesh.Topology)
 	res := Result{
-		Platform:     job.Platform.Name,
-		Workload:     job.Workload.Name,
+		Platform:     platform,
 		Model:        model.Name(),
-		Geometry:     job.Geometry,
-		Format:       job.Geometry.Format.String(),
-		LinkBits:     job.Geometry.LinkBits,
-		Ordering:     job.Ordering,
-		OrderingName: job.Ordering.String(),
-		Coding:       codingName(effCoding),
-		Topology:     effTopology,
-		Seed:         job.Seed,
+		Geometry:     cfg.Geometry,
+		Format:       cfg.Geometry.Format.String(),
+		LinkBits:     cfg.Geometry.LinkBits,
+		Ordering:     cfg.Ordering,
+		OrderingName: cfg.Ordering.String(),
+		Coding:       flit.LinkCodingDisplayName(cfg.LinkCoding),
+		Topology:     topology,
 		Batch:        batch,
-		Precision:    job.Precision,
 	}
 	if batch == 1 {
-		if _, err := eng.Infer(ctx, entry.input); err != nil {
+		if _, err := eng.Infer(ctx, input); err != nil {
 			return Result{}, err
 		}
 		if c := eng.Cycles(); c > 0 {
@@ -206,7 +209,7 @@ func (r *runner) runJob(ctx context.Context, job Job) (Result, error) {
 			res.AvgLatencyCycles = float64(c)
 		}
 	} else {
-		if _, err := eng.InferRepeated(ctx, entry.input, batch); err != nil {
+		if _, err := eng.InferRepeated(ctx, input, batch); err != nil {
 			return Result{}, err
 		}
 		st := eng.LastBatchStats()
@@ -225,16 +228,6 @@ func (r *runner) runJob(ctx context.Context, job Job) (Result, error) {
 	res.WeightRegBits = ec.WeightRegBits
 	res.FlitBits = ec.FlitBits
 	return res, nil
-}
-
-// codingName maps the spec's coding axis value onto the display/JSON name:
-// the empty string renders as "none" so serialized rows stay
-// self-describing.
-func codingName(c string) string {
-	if c == "" {
-		return "none"
-	}
-	return c
 }
 
 // groupKey identifies a reduction group: one job minus its ordering. The

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -246,7 +245,9 @@ func TestRunAbortsQueuedJobsAfterError(t *testing.T) {
 	}
 }
 
-func TestWriteJSON(t *testing.T) {
+// TestResultJSON pins the serialized row: the string fields stand in for
+// the typed Geometry/Ordering under their JSON names.
+func TestResultJSON(t *testing.T) {
 	spec := tinySpec()
 	spec.Seeds = []int64{1}
 	spec.Geometries = spec.Geometries[:1]
@@ -254,13 +255,13 @@ func TestWriteJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, results); err != nil {
+	b, err := json.Marshal(results)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var decoded []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
+	if err := json.Unmarshal(b, &decoded); err != nil {
+		t.Fatalf("invalid JSON: %v\n%s", err, b)
 	}
 	if len(decoded) != len(results) {
 		t.Fatalf("JSON rows %d, results %d", len(decoded), len(results))

@@ -39,6 +39,7 @@ package nocbt
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 
 	"nocbt/internal/accel"
@@ -107,9 +108,21 @@ func RegisterOrderingStrategy(s OrderingStrategy) error { return flit.RegisterOr
 // order (the paper's O0/O1/O2 first).
 func OrderingStrategies() []OrderingStrategy { return flit.OrderingStrategies() }
 
-// ParseOrdering resolves a registered strategy name ("O2", "hamming-nn",
-// case-insensitive) onto its wire ID.
-func ParseOrdering(name string) (Ordering, error) { return flit.ParseOrdering(name) }
+// ParseOrdering resolves an ordering name onto its wire ID: the paper's
+// long aliases ("baseline", "affiliated", "separated") or any registered
+// strategy name ("O2", "hamming-nn"), trimmed and case-insensitive.
+func ParseOrdering(name string) (Ordering, error) {
+	name = strings.TrimSpace(name)
+	switch strings.ToLower(name) {
+	case "baseline":
+		return O0, nil
+	case "affiliated":
+		return O1, nil
+	case "separated":
+		return O2, nil
+	}
+	return flit.ParseOrdering(name)
+}
 
 // LinkCodingScheme describes one link coding (bus-invert, Gray, …) and
 // builds per-link encoder state. Codings transform how the wires toggle on
@@ -168,6 +181,19 @@ func Float32() Geometry { return flit.Float32Geometry() }
 // Fixed8 returns the paper's 128-bit link / 16×fixed-8 flit format.
 func Fixed8() Geometry { return flit.Fixed8Geometry() }
 
+// ParseGeometry resolves a paper flit-format name onto its geometry:
+// "fixed8"/"fixed-8" or "float32"/"float-32", trimmed and
+// case-insensitive.
+func ParseGeometry(name string) (Geometry, error) {
+	switch strings.ToLower(strings.TrimSpace(name)) {
+	case "fixed8", "fixed-8":
+		return Fixed8(), nil
+	case "float32", "float-32":
+		return Float32(), nil
+	}
+	return Geometry{}, fmt.Errorf("nocbt: unknown format %q (want fixed8 or float32)", name)
+}
+
 // FixedGeometry returns a 128-bit link geometry with fixed-point lanes of
 // the given width: 2, 4, 8 or 16 bits (see FixedWidths). Narrower lanes
 // pack more values per flit — FixedGeometry(4) carries 32 lanes where
@@ -181,41 +207,9 @@ func FixedWidths() []int { return bitutil.FixedWidths() }
 
 // Platform is an accelerator platform configuration. Build one with
 // NewPlatform (see platform.go) — arbitrary mesh sizes, MC counts and
-// placement policies — or start from a paper preset option bundle.
+// placement policies — or start from a paper preset option bundle
+// (PaperOptions4x4MC2 and friends, or PaperPlatforms).
 type Platform = accel.Config
-
-// Platform4x4MC2 returns the paper's default platform: 4×4 mesh, 2 MCs.
-//
-// Deprecated: use NewPlatform(PaperOptions4x4MC2(g)...).
-func Platform4x4MC2(g Geometry) Platform {
-	return paperPlatform(PaperOptions4x4MC2(g), func() Platform { return accel.Mesh4x4MC2(g) })
-}
-
-// Platform8x8MC4 returns the paper's 8×8 mesh with 4 MCs.
-//
-// Deprecated: use NewPlatform(PaperOptions8x8MC4(g)...).
-func Platform8x8MC4(g Geometry) Platform {
-	return paperPlatform(PaperOptions8x8MC4(g), func() Platform { return accel.Mesh8x8MC4(g) })
-}
-
-// Platform8x8MC8 returns the paper's 8×8 mesh with 8 MCs.
-//
-// Deprecated: use NewPlatform(PaperOptions8x8MC8(g)...).
-func Platform8x8MC8(g Geometry) Platform {
-	return paperPlatform(PaperOptions8x8MC8(g), func() Platform { return accel.Mesh8x8MC8(g) })
-}
-
-// paperPlatform builds a preset through NewPlatform; when the caller's
-// geometry is invalid it falls back to the raw v1 constructor so the
-// error still surfaces as NewEngine's recoverable validation failure, not
-// a construction panic — the v1 contract these deprecated shims keep.
-func paperPlatform(opts []PlatformOption, v1 func() Platform) Platform {
-	cfg, err := NewPlatform(opts...)
-	if err != nil {
-		return v1()
-	}
-	return cfg
-}
 
 // Engine executes DNN inference over the simulated NoC. Engine.Infer runs
 // one inference at a time; Engine.InferBatch keeps a whole batch of

@@ -3,10 +3,10 @@ package nocbt
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
-	"nocbt/internal/bitutil"
 	"nocbt/internal/train"
 )
 
@@ -101,14 +101,14 @@ func TestSampleInputDerivedFromRng(t *testing.T) {
 func TestRunModelBatchOnNoC(t *testing.T) {
 	m := LeNet(1)
 	in := SampleInput(m, 3)
-	serial, err := RunModelOnNoC(context.Background(), "4x4 MC2", Platform4x4MC2(Fixed8()), O2, m, in)
+	serial, err := RunModelOnNoC(context.Background(), "4x4 MC2", DefaultPlatform().Build(Fixed8()), O2, m, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if serial.Batch != 1 || serial.Throughput <= 0 || serial.AvgLatencyCycles != float64(serial.Cycles) {
 		t.Fatalf("serial row malformed: %+v", serial)
 	}
-	batch, err := RunModelBatchOnNoC(context.Background(), "4x4 MC2", Platform4x4MC2(Fixed8()), O2, m, in, 2)
+	batch, err := RunModelBatchOnNoC(context.Background(), "4x4 MC2", DefaultPlatform().Build(Fixed8()), O2, m, in, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,15 +123,63 @@ func TestRunModelBatchOnNoC(t *testing.T) {
 		t.Errorf("batch cycles %d above 2x serial %d", batch.Cycles, 2*serial.Cycles)
 	}
 	// batch 1 delegates to the serial row; non-positive sizes are errors.
-	one, err := RunModelBatchOnNoC(context.Background(), "4x4 MC2", Platform4x4MC2(Fixed8()), O2, m, in, 1)
+	one, err := RunModelBatchOnNoC(context.Background(), "4x4 MC2", DefaultPlatform().Build(Fixed8()), O2, m, in, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if one != serial {
 		t.Errorf("batch-1 row %+v differs from serial row %+v", one, serial)
 	}
-	if _, err := RunModelBatchOnNoC(context.Background(), "4x4 MC2", Platform4x4MC2(Fixed8()), O2, m, in, 0); err == nil {
+	if _, err := RunModelBatchOnNoC(context.Background(), "4x4 MC2", DefaultPlatform().Build(Fixed8()), O2, m, in, 0); err == nil {
 		t.Error("batch size 0 not rejected")
+	}
+}
+
+// TestDirectRunsMatchSweepRow pins one with-NoC row across its three entry
+// points: RunModelOnNoC, RunModelBatchOnNoC and the sweep runner must
+// report the same labels and counters for the same grid point, including
+// the canonical coding and topology names and the router-flit count.
+func TestDirectRunsMatchSweepRow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 4 torus NoC inferences; skipped in -short mode")
+	}
+	cfg, err := NewPlatform(append(PaperOptions4x4MC2(Fixed8()),
+		WithTopology("torus"), WithLinkCoding("Gray"))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = 1
+	model := LeNet(seed)
+	input := SampleInput(model, seed+7)
+	for _, batch := range []int{1, 2} {
+		var direct NoCRunResult
+		if batch == 1 {
+			direct, err = RunModelOnNoC(context.Background(), "torus 4x4", cfg, O2, model, input)
+		} else {
+			direct, err = RunModelBatchOnNoC(context.Background(), "torus 4x4", cfg, O2, model, input, batch)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The fields runSweepSerial fills in after the direct call.
+		direct.Seed = seed
+		direct.Workload = string(LeNetModel)
+		rows, err := RunSweep(context.Background(), SweepSpec{
+			Platforms:  []NamedPlatform{FixedPlatform("torus 4x4", cfg)},
+			Geometries: []Geometry{Fixed8()},
+			Orderings:  []Ordering{O2},
+			Seeds:      []int64{seed},
+			Batches:    []int{batch},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 1 {
+			t.Fatalf("batch %d: sweep returned %d rows, want 1", batch, len(rows))
+		}
+		if !reflect.DeepEqual(direct, rows[0]) {
+			t.Errorf("batch %d: direct row differs from sweep row:\ndirect: %+v\nsweep:  %+v", batch, direct, rows[0])
+		}
 	}
 }
 
@@ -145,17 +193,31 @@ func TestGeometryPresets(t *testing.T) {
 }
 
 func TestPlatformPresets(t *testing.T) {
-	p := Platform4x4MC2(Fixed8())
+	p := DefaultPlatform().Build(Fixed8())
 	if p.Mesh.Width != 4 || len(p.MCs) != 2 {
 		t.Errorf("4x4MC2 = %+v", p)
 	}
-	if p8 := Platform8x8MC8(Float32()); p8.Mesh.Width != 8 || len(p8.MCs) != 8 {
+	if p8 := PaperPlatforms()[2].Build(Float32()); p8.Mesh.Width != 8 || len(p8.MCs) != 8 {
 		t.Errorf("8x8MC8 wrong")
 	}
 }
 
+// experimentText runs a registered experiment and renders its text form.
+func experimentText(t *testing.T, name string, p Params) string {
+	t.Helper()
+	res, err := RunExperiment(context.Background(), name, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := Render(res, Text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return text
+}
+
 func TestFig1Report(t *testing.T) {
-	out := Fig1Report(8)
+	out := experimentText(t, "fig1", Params{Step: 8})
 	if !strings.Contains(out, "E = x + y - xy/16") {
 		t.Error("Fig. 1 formula missing")
 	}
@@ -210,7 +272,7 @@ func TestFig9Report(t *testing.T) {
 	if testing.Short() {
 		t.Skip("uses trained LeNet; skipped in -short mode")
 	}
-	out := Fig9Report(6)
+	out := experimentText(t, "fig9", Params{Flits: 6})
 	if !strings.Contains(out, "Before:") || !strings.Contains(out, "After") {
 		t.Errorf("Fig. 9 sections missing:\n%s", out)
 	}
@@ -223,7 +285,7 @@ func TestBitLevelReportFloat32(t *testing.T) {
 	if testing.Short() {
 		t.Skip("uses trained LeNet; skipped in -short mode")
 	}
-	out := BitLevelReport(bitutil.Float32)
+	out := experimentText(t, "fig10", Params{})
 	if !strings.Contains(out, "Fig. 10") {
 		t.Error("wrong figure label")
 	}
@@ -239,7 +301,7 @@ func TestBitLevelReportFixed8(t *testing.T) {
 	if testing.Short() {
 		t.Skip("uses trained LeNet; skipped in -short mode")
 	}
-	out := BitLevelReport(bitutil.Fixed8)
+	out := experimentText(t, "fig11", Params{})
 	if !strings.Contains(out, "Fig. 11") {
 		t.Error("wrong figure label")
 	}
@@ -249,7 +311,7 @@ func TestBitLevelReportFixed8(t *testing.T) {
 }
 
 func TestTable2Report(t *testing.T) {
-	out := Table2Report()
+	out := experimentText(t, "table2", Params{})
 	for _, want := range []string{"ordering unit", "router", "12.91", "125.54", "bubble 16"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Tab. II report missing %q:\n%s", want, out)
@@ -258,7 +320,7 @@ func TestTable2Report(t *testing.T) {
 }
 
 func TestLinkPowerReport(t *testing.T) {
-	out := LinkPowerReport(40.85)
+	out := experimentText(t, "power", Params{BTReductionPct: 40.85})
 	for _, want := range []string{"155.01", "476.67", "91.69", "281.95"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("link power report missing %q:\n%s", want, out)
@@ -269,7 +331,7 @@ func TestLinkPowerReport(t *testing.T) {
 func TestRunModelOnNoCQuick(t *testing.T) {
 	// Small end-to-end check through the facade with random weights.
 	m := LeNet(1)
-	r, err := RunModelOnNoC(context.Background(), "4x4 MC2", Platform4x4MC2(Fixed8()), O1, m, SampleInput(m, 3))
+	r, err := RunModelOnNoC(context.Background(), "4x4 MC2", DefaultPlatform().Build(Fixed8()), O1, m, SampleInput(m, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,8 @@ package nocbt
 // the engine.
 //
 // The paper's three evaluated platforms are one-line option bundles over
-// this constructor (see PaperOptions4x4MC2 and friends); the old
-// Platform4x4MC2-style constructors remain as deprecated shims.
+// this constructor (see PaperOptions4x4MC2 and friends, and
+// PaperPlatforms for the named sweep axis).
 
 import (
 	"crypto/sha256"

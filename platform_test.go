@@ -2,8 +2,11 @@ package nocbt
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
+
+	"nocbt/internal/accel"
 )
 
 // TestNewPlatformDefaults pins the zero-option platform: the paper's 4×4
@@ -24,30 +27,31 @@ func TestNewPlatformDefaults(t *testing.T) {
 	}
 }
 
-// TestNewPlatformMatchesPresets proves the deprecated preset shims and the
-// option bundles build identical platforms.
+// TestNewPlatformMatchesPresets proves the PaperPlatforms entries, the
+// option bundles and the v1 accel presets build identical platforms.
 func TestNewPlatformMatchesPresets(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		preset Platform
-		opts   []PlatformOption
+	paper := PaperPlatforms()
+	for i, tc := range []struct {
+		name string
+		g    Geometry
+		opts func(Geometry) []PlatformOption
+		v1   func(Geometry) Platform
 	}{
-		{"4x4MC2", Platform4x4MC2(Fixed8()), PaperOptions4x4MC2(Fixed8())},
-		{"8x8MC4", Platform8x8MC4(Float32()), PaperOptions8x8MC4(Float32())},
-		{"8x8MC8", Platform8x8MC8(Fixed8()), PaperOptions8x8MC8(Fixed8())},
+		{"4x4MC2", Fixed8(), PaperOptions4x4MC2, accel.Mesh4x4MC2},
+		{"8x8MC4", Float32(), PaperOptions8x8MC4, accel.Mesh8x8MC4},
+		{"8x8MC8", Fixed8(), PaperOptions8x8MC8, accel.Mesh8x8MC8},
 	} {
-		got, err := NewPlatform(tc.opts...)
+		preset := paper[i].Build(tc.g)
+		got, err := NewPlatform(tc.opts(tc.g)...)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got.Mesh != tc.preset.Mesh || got.Geometry != tc.preset.Geometry ||
-			len(got.MCs) != len(tc.preset.MCs) {
-			t.Errorf("%s: bundle %+v differs from preset %+v", tc.name, got, tc.preset)
+		if !reflect.DeepEqual(got, preset) {
+			t.Errorf("%s: bundle %+v differs from PaperPlatforms entry %+v", tc.name, got, preset)
 		}
-		for i := range got.MCs {
-			if got.MCs[i] != tc.preset.MCs[i] {
-				t.Errorf("%s: MC %d = %d, preset %d", tc.name, i, got.MCs[i], tc.preset.MCs[i])
-			}
+		v1 := tc.v1(tc.g)
+		if got.Mesh != v1.Mesh || got.Geometry != v1.Geometry || !reflect.DeepEqual(got.MCs, v1.MCs) {
+			t.Errorf("%s: bundle %+v differs from v1 preset %+v", tc.name, got, v1)
 		}
 	}
 }
@@ -168,14 +172,18 @@ func TestNewPlatformValidation(t *testing.T) {
 	}
 }
 
-// TestPresetShimsDeferGeometryErrorsToNewEngine pins the v1 contract of
-// the deprecated preset constructors: an invalid geometry must not panic
-// at construction — the error surfaces from NewEngine, as it always did.
+// TestPresetShimsDeferGeometryErrorsToNewEngine pins the paper presets'
+// contract for a bad geometry: building the PaperPlatforms entry must not
+// panic (Params.Fingerprint builds sweep platforms before validation), and
+// the error surfaces from NewEngine instead.
 func TestPresetShimsDeferGeometryErrorsToNewEngine(t *testing.T) {
 	bad := Geometry{LinkBits: 24, Format: Fixed8().Format} // odd lane count
-	cfg := Platform4x4MC2(bad)                             // must not panic
+	cfg := PaperPlatforms()[0].Build(bad)                  // must not panic
+	if v1 := accel.Mesh4x4MC2(bad); cfg.Mesh != v1.Mesh || !reflect.DeepEqual(cfg.MCs, v1.MCs) {
+		t.Errorf("fallback config %+v differs from the v1 preset %+v", cfg, v1)
+	}
 	if cfg.Mesh.Width != 4 || len(cfg.MCs) != 2 {
-		t.Errorf("shim fallback config malformed: %+v", cfg)
+		t.Errorf("fallback config malformed: %+v", cfg)
 	}
 	if _, err := NewEngine(cfg, LeNet(1)); err == nil ||
 		!strings.Contains(err.Error(), "lane") {

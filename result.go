@@ -4,7 +4,7 @@ package nocbt
 // Experiment returns a *Result: structured tables of typed rows plus the
 // metadata of the run, with a section script describing how the paper's
 // text rendering is assembled from them. One Result renders as an aligned
-// text report (byte-identical to the pre-v2 *Report strings), as JSON for
+// text report (byte-identical to the testdata/*_report.golden files), as JSON for
 // machine consumers, or as CSV for spreadsheets — the renderer is shared,
 // experiments only produce data.
 

@@ -3,10 +3,10 @@ package nocbt
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
 	"strings"
 
+	"nocbt/internal/accel"
 	"nocbt/internal/dnn"
 	"nocbt/internal/sweep"
 	"nocbt/internal/tensor"
@@ -44,10 +44,25 @@ type NamedPlatform struct {
 // order: 4×4/MC2, 8×8/MC4, 8×8/MC8.
 func PaperPlatforms() []NamedPlatform {
 	return []NamedPlatform{
-		{Name: "4x4 MC2", Build: Platform4x4MC2},
-		{Name: "8x8 MC4", Build: Platform8x8MC4},
-		{Name: "8x8 MC8", Build: Platform8x8MC8},
+		paperPlatform("4x4 MC2", PaperOptions4x4MC2, accel.Mesh4x4MC2),
+		paperPlatform("8x8 MC4", PaperOptions8x8MC4, accel.Mesh8x8MC4),
+		paperPlatform("8x8 MC8", PaperOptions8x8MC8, accel.Mesh8x8MC8),
 	}
+}
+
+// paperPlatform builds a preset through NewPlatform. For a geometry
+// NewPlatform rejects it falls back to the raw accel preset instead of
+// panicking: Params.Fingerprint builds every swept platform before any
+// validation runs, and the bad geometry then surfaces as NewEngine's
+// descriptive error.
+func paperPlatform(name string, opts func(Geometry) []PlatformOption, fallback func(Geometry) Platform) NamedPlatform {
+	return NamedPlatform{Name: name, Build: func(g Geometry) Platform {
+		cfg, err := NewPlatform(opts(g)...)
+		if err != nil {
+			return fallback(g)
+		}
+		return cfg
+	}}
 }
 
 // LookupPaperPlatform resolves a case- and space-insensitive platform name
@@ -67,9 +82,7 @@ func LookupPaperPlatform(name string) (NamedPlatform, bool) {
 }
 
 // DefaultPlatform returns the paper's default 4×4/MC2 platform.
-func DefaultPlatform() NamedPlatform {
-	return NamedPlatform{Name: "4x4 MC2", Build: Platform4x4MC2}
-}
+func DefaultPlatform() NamedPlatform { return PaperPlatforms()[0] }
 
 // FixedPlatform adapts an already-built Platform (e.g. from NewPlatform)
 // into a sweep axis entry. The sweep's geometry axis still applies: each
@@ -159,6 +172,99 @@ func (s SweepSpec) withDefaults() SweepSpec {
 	return s
 }
 
+// SweepAxes is the by-name form of a SweepSpec, as the btexp flags and the
+// btserved JSON API spell it. Spec resolves and validates every name; an
+// empty axis keeps the SweepSpec default.
+type SweepAxes struct {
+	// Platforms names paper platforms ("4x4", "8x8mc4", "8x8 MC8"; see
+	// LookupPaperPlatform).
+	Platforms []string `json:"platforms,omitempty"`
+	// Formats names flit formats ("fixed8", "float32"; see ParseGeometry).
+	Formats []string `json:"formats,omitempty"`
+	// Orderings restricts the ordering axis by registry name or paper
+	// alias ("o0", "baseline", "hamming-nn", …; see ParseOrdering).
+	Orderings []string `json:"orderings,omitempty"`
+	// Codings adds a link-coding axis by registry name ("none", "gray",
+	// "businvert").
+	Codings []string `json:"codings,omitempty"`
+	// Models names sweep models ("lenet", "darknet").
+	Models []string `json:"models,omitempty"`
+	// Seeds lists weight/input seeds; empty sweeps the seed given to Spec.
+	Seeds []int64 `json:"seeds,omitempty"`
+	// Batches lists positive inference batch sizes.
+	Batches []int `json:"batches,omitempty"`
+	// Precisions adds a uniform fixed-point lane-width axis (entries from
+	// FixedWidths, or 0 for the geometry's own format).
+	Precisions []int `json:"precisions,omitempty"`
+	// Topologies adds an interconnect axis by registry name ("mesh",
+	// "torus", "cmesh").
+	Topologies []string `json:"topologies,omitempty"`
+}
+
+// Spec resolves the axes into the grid RunSweep measures, failing on the
+// first unknown name or out-of-range value. seed fills an empty Seeds axis
+// and trained selects converged weights.
+func (a SweepAxes) Spec(seed int64, trained bool) (SweepSpec, error) {
+	spec := SweepSpec{Trained: trained, Seeds: a.Seeds, Batches: a.Batches, Precisions: a.Precisions}
+	if len(spec.Seeds) == 0 {
+		spec.Seeds = []int64{seed}
+	}
+	for _, name := range a.Platforms {
+		p, ok := LookupPaperPlatform(name)
+		if !ok {
+			return SweepSpec{}, fmt.Errorf("nocbt: unknown platform %q (want 4x4, 8x8mc4 or 8x8mc8)", name)
+		}
+		spec.Platforms = append(spec.Platforms, p)
+	}
+	for _, name := range a.Formats {
+		g, err := ParseGeometry(name)
+		if err != nil {
+			return SweepSpec{}, err
+		}
+		spec.Geometries = append(spec.Geometries, g)
+	}
+	for _, name := range a.Orderings {
+		ord, err := ParseOrdering(name)
+		if err != nil {
+			return SweepSpec{}, err
+		}
+		spec.Orderings = append(spec.Orderings, ord)
+	}
+	for _, name := range a.Codings {
+		if _, ok := LookupLinkCoding(name); !ok {
+			return SweepSpec{}, fmt.Errorf("nocbt: unknown link coding %q (registered: %v)", name, LinkCodingNames())
+		}
+		spec.Codings = append(spec.Codings, strings.TrimSpace(name))
+	}
+	for _, name := range a.Models {
+		m := SweepModel(strings.ToLower(strings.TrimSpace(name)))
+		if m != LeNetModel && m != DarkNetModel {
+			return SweepSpec{}, fmt.Errorf("nocbt: unknown sweep model %q (want lenet or darknet)", name)
+		}
+		spec.Models = append(spec.Models, m)
+	}
+	for _, b := range a.Batches {
+		if b < 1 {
+			return SweepSpec{}, fmt.Errorf("nocbt: bad batch size %d (want a positive integer)", b)
+		}
+	}
+	for _, p := range a.Precisions {
+		if p == 0 {
+			continue // the geometry's own format
+		}
+		if _, err := FixedGeometry(p); err != nil {
+			return SweepSpec{}, fmt.Errorf("nocbt: bad precision %d: %w", p, err)
+		}
+	}
+	for _, name := range a.Topologies {
+		if _, ok := CanonicalTopologyName(name); !ok {
+			return SweepSpec{}, fmt.Errorf("nocbt: unknown topology %q (registered: %v)", name, TopologyNames())
+		}
+		spec.Topologies = append(spec.Topologies, strings.TrimSpace(name))
+	}
+	return spec, nil
+}
+
 // workloadFor maps a model name onto the internal sweep workload. The
 // untrained builders draw weights from the job-private rng (seeded from the
 // spec seed, so identical to LeNet(seed)/DarkNet(seed)); the trained
@@ -230,37 +336,7 @@ func RunSweep(ctx context.Context, spec SweepSpec) ([]NoCRunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	results, err := sweep.Run(ctx, internal)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]NoCRunResult, len(results))
-	for i, r := range results {
-		rows[i] = NoCRunResult{
-			Platform:         r.Platform,
-			Model:            r.Model,
-			Workload:         r.Workload,
-			Geometry:         r.Geometry,
-			Ordering:         r.Ordering,
-			Coding:           r.Coding,
-			Topology:         r.Topology,
-			Batch:            r.Batch,
-			Precision:        r.Precision,
-			TotalBT:          r.TotalBT,
-			Cycles:           r.Cycles,
-			Packets:          r.Packets,
-			Flits:            r.Flits,
-			RouterFlits:      r.RouterFlits,
-			MACBitOps:        r.MACBitOps,
-			WeightRegBits:    r.WeightRegBits,
-			FlitBits:         r.FlitBits,
-			Throughput:       r.Throughput,
-			AvgLatencyCycles: r.AvgLatencyCycles,
-			ReductionPct:     r.ReductionPct,
-			Seed:             r.Seed,
-		}
-	}
-	return rows, nil
+	return sweep.Run(ctx, internal)
 }
 
 // sweepResult runs the registered "sweep" experiment: the grid from
@@ -317,55 +393,5 @@ func sweepResult(ctx context.Context, p Params) (*Result, error) {
 
 // SweepReport renders sweep rows with the standard table formatter.
 func SweepReport(rows []NoCRunResult) string {
-	return sweep.RenderTable(toInternalResults(rows))
-}
-
-// WriteSweepJSON emits sweep rows as an indented JSON array.
-func WriteSweepJSON(w io.Writer, rows []NoCRunResult) error {
-	return sweep.WriteJSON(w, toInternalResults(rows))
-}
-
-func toInternalResults(rows []NoCRunResult) []sweep.Result {
-	out := make([]sweep.Result, len(rows))
-	for i, r := range rows {
-		workload := r.Workload
-		if workload == "" {
-			workload = r.Model // rows from direct RunModelOnNoC calls
-		}
-		batch := r.Batch
-		if batch == 0 {
-			batch = 1 // rows predating the batch axis
-		}
-		coding := r.Coding
-		if coding == "" {
-			coding = "none" // rows predating the coding axis
-		}
-		out[i] = sweep.Result{
-			Platform:         r.Platform,
-			Workload:         workload,
-			Model:            r.Model,
-			Geometry:         r.Geometry,
-			Format:           r.Geometry.Format.String(),
-			LinkBits:         r.Geometry.LinkBits,
-			Ordering:         r.Ordering,
-			OrderingName:     r.Ordering.String(),
-			Coding:           coding,
-			Topology:         r.Topology,
-			Seed:             r.Seed,
-			Batch:            batch,
-			Precision:        r.Precision,
-			TotalBT:          r.TotalBT,
-			Cycles:           r.Cycles,
-			Packets:          r.Packets,
-			Flits:            r.Flits,
-			RouterFlits:      r.RouterFlits,
-			MACBitOps:        r.MACBitOps,
-			WeightRegBits:    r.WeightRegBits,
-			FlitBits:         r.FlitBits,
-			Throughput:       r.Throughput,
-			AvgLatencyCycles: r.AvgLatencyCycles,
-			ReductionPct:     r.ReductionPct,
-		}
-	}
-	return out
+	return sweep.RenderTable(rows)
 }
