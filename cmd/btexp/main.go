@@ -14,10 +14,12 @@
 // `btexp -list` for the registered experiment names. The sweep
 // experiment runs the full ordering × platform × format × model grid on a
 // bounded worker pool; restrict it with -platforms/-formats/-models/
-// -seeds/-batches, and widen the strategy axes with -orderings (any
-// registered ordering strategy) and -codings (none/gray/businvert). The
-// codings experiment compares every registered (ordering × link coding)
-// combination on the paper workloads.
+// -seeds/-batches, widen the strategy axes with -orderings (any
+// registered ordering strategy) and -codings (none/gray/businvert), and
+// add a lane-width axis with -precisions (2,4,8,16) and an interconnect
+// axis with -topology (mesh/torus/cmesh). The codings experiment compares
+// every registered (ordering × link coding) combination on the paper
+// workloads.
 package main
 
 import (

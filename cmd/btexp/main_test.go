@@ -344,6 +344,8 @@ func TestSweepSpecParsing(t *testing.T) {
 		{"unknown link coding", nocbt.SweepAxes{Codings: []string{"huffman"}}},
 		{"unsupported precision", nocbt.SweepAxes{Precisions: []int{7}}},
 		{"unknown topology", nocbt.SweepAxes{Topologies: []string{"hypercube"}}},
+		{"duplicate platform", nocbt.SweepAxes{Platforms: []string{"4x4", "4x4mc2"}}},
+		{"duplicate model", nocbt.SweepAxes{Models: []string{"lenet", "LeNet"}}},
 	} {
 		if _, err := bad.axes.Spec(1, false); err == nil {
 			t.Errorf("%s not rejected", bad.what)

@@ -34,6 +34,20 @@ func codingsOrderings() []Ordering {
 	return out
 }
 
+// codingExtraLines returns the wires a registered link coding adds to a
+// linkBits-wide link (0 when uncoded) — the §II wire overhead the link
+// power columns price.
+func codingExtraLines(coding string, linkBits int) (int, error) {
+	scheme, ok := LookupLinkCoding(coding)
+	if !ok {
+		return 0, fmt.Errorf("nocbt: unknown link coding %q (registered: %v)", coding, LinkCodingNames())
+	}
+	if scheme == nil {
+		return 0, nil
+	}
+	return scheme.ExtraLines(linkBits), nil
+}
+
 // codingsResult measures the strategy grid. Params: Seed and Trained as in
 // fig13; Quick restricts the grid to LeNet. The geometry is the paper's
 // fixed-8 default — the configuration whose O2 reduction is the paper's
@@ -75,13 +89,9 @@ func codingsResult(ctx context.Context, p Params) (*Result, error) {
 			"Extra lines", "Total BT", "Cycles", "Reduction % vs O0", "Link power mW"},
 	}
 	for _, r := range rows {
-		scheme, ok := LookupLinkCoding(r.Coding)
-		if !ok {
-			return nil, fmt.Errorf("nocbt: codings row names unknown coding %q", r.Coding)
-		}
-		extraLines := 0
-		if scheme != nil {
-			extraLines = scheme.ExtraLines(r.Geometry.LinkBits)
+		extraLines, err := codingExtraLines(r.Coding, r.Geometry.LinkBits)
+		if err != nil {
+			return nil, err
 		}
 		strategy := r.Ordering.String()
 		if r.Coding != "none" {

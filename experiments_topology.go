@@ -99,13 +99,9 @@ func topologyResult(ctx context.Context, p Params) (*Result, error) {
 		if base, ok := baselines[baseKey{r.Model}]; ok && base > 0 {
 			reduction = 100 * (base - float64(r.TotalBT)) / base
 		}
-		scheme, ok := LookupLinkCoding(r.Coding)
-		if !ok {
-			return nil, fmt.Errorf("nocbt: topology row names unknown coding %q", r.Coding)
-		}
-		extraLines := 0
-		if scheme != nil {
-			extraLines = scheme.ExtraLines(r.Geometry.LinkBits)
+		extraLines, err := codingExtraLines(r.Coding, r.Geometry.LinkBits)
+		if err != nil {
+			return nil, err
 		}
 		// §V-C link power priced on this topology's actual wire budget: the
 		// torus pays for its wrap links, the cmesh banks its reduced grid.

@@ -346,6 +346,12 @@ func TestHTTPErrorPaths(t *testing.T) {
 		{"bad sweep model", "/v1/experiments/run",
 			ExperimentRunRequest{Name: "sweep", Params: ExperimentParams{Sweep: &nocbt.SweepAxes{Models: []string{"resnet"}}}},
 			http.StatusBadRequest},
+		{"duplicate sweep platform", "/v1/experiments/run",
+			ExperimentRunRequest{Name: "sweep", Params: ExperimentParams{Sweep: &nocbt.SweepAxes{Platforms: []string{"4x4", "4x4mc2"}}}},
+			http.StatusBadRequest},
+		{"duplicate sweep model", "/v1/experiments/run",
+			ExperimentRunRequest{Name: "sweep", Params: ExperimentParams{Sweep: &nocbt.SweepAxes{Models: []string{"lenet", "LeNet"}}}},
+			http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, data := postJSON(t, ts.URL+tc.path, tc.body)

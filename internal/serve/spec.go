@@ -98,12 +98,7 @@ func (s PlatformSpec) Build() (nocbt.Platform, error) {
 	if err != nil {
 		return nocbt.Platform{}, fmt.Errorf("serve: %w", err)
 	}
-	opts = append(opts, nocbt.WithGeometry(g), nocbt.WithOrdering(ord))
-	if _, ok := nocbt.LookupLinkCoding(s.LinkCoding); !ok {
-		return nocbt.Platform{}, fmt.Errorf("serve: unknown link coding %q (registered: %v)",
-			s.LinkCoding, nocbt.LinkCodingNames())
-	}
-	opts = append(opts, nocbt.WithLinkCoding(s.LinkCoding))
+	opts = append(opts, nocbt.WithGeometry(g), nocbt.WithOrdering(ord), nocbt.WithLinkCoding(s.LinkCoding))
 	switch strings.ToLower(s.LayerMode) {
 	case "pipelined":
 		opts = append(opts, nocbt.WithLayerMode(nocbt.PipelinedLayers))
@@ -125,13 +120,7 @@ func (s PlatformSpec) Build() (nocbt.Platform, error) {
 	if len(s.Precisions) > 0 {
 		opts = append(opts, nocbt.WithPrecisions(s.Precisions...))
 	}
-	if s.Topology != "" || s.Concentration != 0 {
-		if _, ok := nocbt.CanonicalTopologyName(s.Topology); !ok {
-			return nocbt.Platform{}, fmt.Errorf("serve: unknown topology %q (registered: %v)",
-				s.Topology, nocbt.TopologyNames())
-		}
-		opts = append(opts, nocbt.WithTopology(s.Topology, nocbt.WithConcentration(s.Concentration)))
-	}
+	opts = append(opts, nocbt.WithTopology(s.Topology, nocbt.WithConcentration(s.Concentration)))
 	return nocbt.NewPlatform(opts...)
 }
 

@@ -65,18 +65,29 @@ type Result struct {
 	ReductionPct float64 `json:"reduction_pct"`
 }
 
+// Columns returns the sweep table's header: one entry per Cells value.
+// RenderTable and the registered "sweep" experiment both render with it.
+func Columns() []string {
+	return []string{"Platform", "Topo", "Model", "Format", "Prec", "Ordering", "Coding", "Seed", "Batch",
+		"Total BT", "Flits", "Cycles", "Packets", "Inf/kcycle", "Reduction %"}
+}
+
+// Cells returns one result's sweep-table row in Columns order.
+func Cells(r Result) []any {
+	prec := "-"
+	if r.Precision > 0 {
+		prec = fmt.Sprintf("%d", r.Precision)
+	}
+	return []any{r.Platform, noc.TopologyDisplayName(r.Topology), r.Model, r.Format, prec, r.OrderingName, r.Coding, r.Seed, r.Batch,
+		r.TotalBT, r.Flits, r.Cycles, r.Packets, r.Throughput, r.ReductionPct}
+}
+
 // RenderTable renders the results with the repository's standard table
 // formatter, one row per grid point in sweep order.
 func RenderTable(results []Result) string {
-	t := stats.NewTable("Platform", "Topo", "Model", "Format", "Prec", "Ordering", "Coding", "Seed", "Batch",
-		"Total BT", "Flits", "Cycles", "Packets", "Inf/kcycle", "Reduction %")
+	t := stats.NewTable(Columns()...)
 	for _, r := range results {
-		prec := "-"
-		if r.Precision > 0 {
-			prec = fmt.Sprintf("%d", r.Precision)
-		}
-		t.AddRowf(r.Platform, noc.TopologyDisplayName(r.Topology), r.Model, r.Format, prec, r.OrderingName, r.Coding, r.Seed, r.Batch,
-			r.TotalBT, r.Flits, r.Cycles, r.Packets, r.Throughput, r.ReductionPct)
+		t.AddRowf(Cells(r)...)
 	}
 	return t.String()
 }

@@ -100,7 +100,7 @@ func Run(ctx context.Context, spec Spec) ([]Result, error) {
 			return nil, fmt.Errorf("sweep: job %s: %w", jobs[i].Name(), err)
 		}
 	}
-	fillReductions(results)
+	fillReductions(results, len(spec.Orderings))
 	return results, nil
 }
 
@@ -230,50 +230,25 @@ func Measure(ctx context.Context, platform string, cfg accel.Config, model *dnn.
 	return res, nil
 }
 
-// groupKey identifies a reduction group: one job minus its ordering. The
-// coding is part of the group, so a coded sweep's reductions compare each
-// ordering against the Baseline run under the same coding.
-type groupKey struct {
-	platform  string
-	workload  string
-	linkBits  int
-	format    string
-	coding    string
-	topology  string
-	seed      int64
-	batch     int
-	precision int
-}
-
-func (res Result) group() groupKey {
-	return groupKey{
-		platform:  res.Platform,
-		workload:  res.Workload,
-		linkBits:  res.LinkBits,
-		format:    res.Format,
-		coding:    res.Coding,
-		topology:  res.Topology,
-		seed:      res.Seed,
-		batch:     res.Batch,
-		precision: res.Precision,
-	}
-}
-
 // fillReductions computes each result's BT reduction relative to its
-// group's Baseline run, matching the serial experiment arithmetic. Groups
-// swept without a Baseline ordering keep ReductionPct == 0.
-func fillReductions(results []Result) {
-	baselines := make(map[groupKey]float64)
-	for _, res := range results {
-		if res.Ordering == flit.Baseline {
-			baselines[res.group()] = float64(res.TotalBT)
+// group's Baseline run, matching the serial experiment arithmetic. Spec.Jobs
+// expands orderings innermost, so a reduction group — one job minus its
+// ordering — is a contiguous block of orderings rows. Groups swept without a
+// Baseline ordering keep ReductionPct == 0.
+func fillReductions(results []Result, orderings int) {
+	for start := 0; start < len(results); start += orderings {
+		group := results[start : start+orderings]
+		base, ok := 0.0, false
+		for _, res := range group {
+			if res.Ordering == flit.Baseline {
+				base, ok = float64(res.TotalBT), true
+			}
 		}
-	}
-	for i := range results {
-		base, ok := baselines[results[i].group()]
 		if !ok {
 			continue
 		}
-		results[i].ReductionPct = 100 * stats.ReductionRate(base, float64(results[i].TotalBT))
+		for i := range group {
+			group[i].ReductionPct = 100 * stats.ReductionRate(base, float64(group[i].TotalBT))
+		}
 	}
 }

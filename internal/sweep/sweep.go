@@ -1,7 +1,8 @@
 // Package sweep is the concurrent experiment runner behind the repository's
 // figure reproductions. A declarative Spec names the grid to explore —
-// orderings × mesh platforms × flit geometries × DNN workloads × seeds —
-// and Run expands it into jobs and executes them on a bounded worker pool.
+// seeds × batch sizes × DNN workloads × flit geometries × lane precisions ×
+// platforms × topologies × link codings × orderings — and Run expands it
+// into jobs and executes them on a bounded worker pool.
 //
 // Determinism is the design constraint: the paper's tables must come out
 // bit-identical whether the sweep runs on one worker or sixteen. Three rules
@@ -54,8 +55,9 @@ type Platform struct {
 	Build func(flit.Geometry) accel.Config
 }
 
-// Spec declares the experiment grid. Every combination of the six axes
-// becomes one job.
+// Spec declares the experiment grid. Every combination of the nine axes
+// becomes one job (see Jobs for the expansion order); Validate is the one
+// check of the grid's values.
 type Spec struct {
 	Platforms  []Platform
 	Geometries []flit.Geometry

@@ -20,7 +20,6 @@ import (
 	"fmt"
 
 	"nocbt/internal/accel"
-	"nocbt/internal/flit"
 	"nocbt/internal/noc"
 )
 
@@ -261,12 +260,6 @@ func NewPlatform(opts ...PlatformOption) (Platform, error) {
 	}
 	if s.peComputeCycles < 1 {
 		return Platform{}, fmt.Errorf("nocbt: PEComputeCycles %d < 1", s.peComputeCycles)
-	}
-	if _, ok := flit.OrderingStrategyByID(s.ordering); !ok {
-		return Platform{}, fmt.Errorf("nocbt: unknown ordering %d (registered: %v)", int(s.ordering), flit.OrderingNames())
-	}
-	if _, ok := flit.LookupLinkCoding(s.linkCoding); !ok {
-		return Platform{}, fmt.Errorf("nocbt: unknown link coding %q (registered: %v)", s.linkCoding, flit.LinkCodingNames())
 	}
 	if s.explicitNodes && s.explicitCoords {
 		return Platform{}, fmt.Errorf("nocbt: WithMCNodes and WithMCCoords are mutually exclusive")

@@ -20,9 +20,9 @@ func init() {
 
 // This file is the public face of the concurrent sweep runner
 // (internal/sweep): declare a grid of orderings × platforms × formats ×
-// models × seeds and RunSweep measures every combination on a bounded
-// worker pool, returning rows bit-identical to the serial loops no matter
-// how many workers run.
+// models × seeds × batches × precisions × topologies × codings and
+// RunSweep measures every combination on a bounded worker pool, returning
+// rows bit-identical to the serial loops no matter how many workers run.
 
 // SweepModel names a model family the sweep runner can materialize.
 type SweepModel string
@@ -201,9 +201,10 @@ type SweepAxes struct {
 	Topologies []string `json:"topologies,omitempty"`
 }
 
-// Spec resolves the axes into the grid RunSweep measures, failing on the
-// first unknown name or out-of-range value. seed fills an empty Seeds axis
-// and trained selects converged weights.
+// Spec resolves the axes' names into the grid RunSweep measures, then
+// checks the grid with the validation RunSweep applies, so a spec Spec
+// accepts never fails it. It fails on the first unknown name or bad value.
+// seed fills an empty Seeds axis and trained selects converged weights.
 func (a SweepAxes) Spec(seed int64, trained bool) (SweepSpec, error) {
 	spec := SweepSpec{Trained: trained, Seeds: a.Seeds, Batches: a.Batches, Precisions: a.Precisions}
 	if len(spec.Seeds) == 0 {
@@ -231,69 +232,47 @@ func (a SweepAxes) Spec(seed int64, trained bool) (SweepSpec, error) {
 		spec.Orderings = append(spec.Orderings, ord)
 	}
 	for _, name := range a.Codings {
-		if _, ok := LookupLinkCoding(name); !ok {
-			return SweepSpec{}, fmt.Errorf("nocbt: unknown link coding %q (registered: %v)", name, LinkCodingNames())
-		}
 		spec.Codings = append(spec.Codings, strings.TrimSpace(name))
 	}
 	for _, name := range a.Models {
-		m := SweepModel(strings.ToLower(strings.TrimSpace(name)))
-		if m != LeNetModel && m != DarkNetModel {
-			return SweepSpec{}, fmt.Errorf("nocbt: unknown sweep model %q (want lenet or darknet)", name)
-		}
-		spec.Models = append(spec.Models, m)
-	}
-	for _, b := range a.Batches {
-		if b < 1 {
-			return SweepSpec{}, fmt.Errorf("nocbt: bad batch size %d (want a positive integer)", b)
-		}
-	}
-	for _, p := range a.Precisions {
-		if p == 0 {
-			continue // the geometry's own format
-		}
-		if _, err := FixedGeometry(p); err != nil {
-			return SweepSpec{}, fmt.Errorf("nocbt: bad precision %d: %w", p, err)
-		}
+		spec.Models = append(spec.Models, SweepModel(strings.ToLower(strings.TrimSpace(name))))
 	}
 	for _, name := range a.Topologies {
-		if _, ok := CanonicalTopologyName(name); !ok {
-			return SweepSpec{}, fmt.Errorf("nocbt: unknown topology %q (registered: %v)", name, TopologyNames())
-		}
 		spec.Topologies = append(spec.Topologies, strings.TrimSpace(name))
+	}
+	internal, err := spec.withDefaults().toInternal()
+	if err == nil {
+		err = internal.Validate()
+	}
+	if err != nil {
+		return SweepSpec{}, err
 	}
 	return spec, nil
 }
 
-// workloadFor maps a model name onto the internal sweep workload. The
-// untrained builders draw weights from the job-private rng (seeded from the
-// spec seed, so identical to LeNet(seed)/DarkNet(seed)); the trained
-// builders go through the process-wide trained-model cache instead.
+// sweepModels maps each sweep model onto its random-weight and trained
+// constructors. The random builders draw exactly what the sweep's
+// job-private rng would (both seed a fresh source from the spec seed).
+var sweepModels = map[SweepModel]struct{ random, trained func(seed int64) *Model }{
+	LeNetModel:   {LeNet, TrainedLeNet},
+	DarkNetModel: {DarkNet, TrainedDarkNet},
+}
+
+// workloadFor maps a model name onto the internal sweep workload; trained
+// models come from the process-wide trained-model cache.
 func workloadFor(m SweepModel, trained bool) (sweep.Workload, error) {
-	build := func(mk func(seed int64, rng *rand.Rand) *dnn.Model) func(int64, *rand.Rand) (*dnn.Model, *tensor.Tensor, error) {
-		return func(seed int64, rng *rand.Rand) (*dnn.Model, *tensor.Tensor, error) {
-			model := mk(seed, rng)
-			return model, SampleInput(model, seed+7), nil
-		}
+	builders, ok := sweepModels[m]
+	if !ok {
+		return sweep.Workload{}, fmt.Errorf("nocbt: unknown sweep model %q (want lenet or darknet)", m)
 	}
-	switch m {
-	case LeNetModel:
-		if trained {
-			return sweep.Workload{Name: string(m), Build: build(
-				func(seed int64, _ *rand.Rand) *dnn.Model { return TrainedLeNet(seed) })}, nil
-		}
-		return sweep.Workload{Name: string(m), Build: build(
-			func(_ int64, rng *rand.Rand) *dnn.Model { return dnn.LeNet(rng) })}, nil
-	case DarkNetModel:
-		if trained {
-			return sweep.Workload{Name: string(m), Build: build(
-				func(seed int64, _ *rand.Rand) *dnn.Model { return TrainedDarkNet(seed) })}, nil
-		}
-		return sweep.Workload{Name: string(m), Build: build(
-			func(_ int64, rng *rand.Rand) *dnn.Model { return dnn.DarkNetTiny(rng) })}, nil
-	default:
-		return sweep.Workload{}, fmt.Errorf("nocbt: unknown sweep model %q", m)
+	build := builders.random
+	if trained {
+		build = builders.trained
 	}
+	return sweep.Workload{Name: string(m), Build: func(seed int64, _ *rand.Rand) (*dnn.Model, *tensor.Tensor, error) {
+		model := build(seed)
+		return model, SampleInput(model, seed+7), nil
+	}}, nil
 }
 
 // toInternal lowers the public spec onto the internal runner's grid.
@@ -324,10 +303,11 @@ func (s SweepSpec) toInternal() (sweep.Spec, error) {
 
 // RunSweep expands the spec into one job per grid point and measures every
 // job on a bounded worker pool. Results come back in deterministic grid
-// order (seeds → models → geometries → platforms → orderings) with
-// ReductionPct filled in relative to each group's O0 run, and are
-// bit-identical for any worker count: jobs share materialized models
-// (trained at most once per model+seed) but infer on private clones.
+// order (seeds → batches → models → geometries → precisions → platforms →
+// topologies → codings → orderings) with ReductionPct filled in relative
+// to each group's O0 run, and are bit-identical for any worker count: jobs
+// share materialized models (trained at most once per model+seed) but
+// infer on private clones.
 // Cancelling the context aborts the sweep promptly with ctx.Err():
 // workers stop picking up jobs and in-flight inferences bail between
 // simulator cycles.
@@ -352,18 +332,9 @@ func sweepResult(ctx context.Context, p Params) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	table := ResultTable{
-		Name: "sweep",
-		Columns: []string{"Platform", "Topo", "Model", "Format", "Prec", "Ordering", "Coding", "Seed", "Batch",
-			"Total BT", "Flits", "Cycles", "Packets", "Inf/kcycle", "Reduction %"},
-	}
+	table := ResultTable{Name: "sweep", Columns: sweep.Columns()}
 	for _, r := range rows {
-		prec := "-"
-		if r.Precision > 0 {
-			prec = fmt.Sprintf("%d", r.Precision)
-		}
-		table.AddRow(r.Platform, TopologyDisplayName(r.Topology), r.Model, r.Geometry.Format.String(), prec, r.Ordering.String(),
-			r.Coding, r.Seed, r.Batch, r.TotalBT, r.Flits, r.Cycles, r.Packets, r.Throughput, r.ReductionPct)
+		table.AddRow(sweep.Cells(r)...)
 	}
 	resolved := spec.withDefaults()
 	platformNames := make([]string, len(resolved.Platforms))
