@@ -60,8 +60,8 @@ func buildConvTasks(format bitutil.Format, l *dnn.Conv2D, x *tensor.Tensor) (noc
 							if ix < 0 || ix >= w {
 								continue
 							}
-							t.weights = append(t.weights, c.weightWord(l.W.Index(oc, ic, ky, kx)))
-							t.inputs = append(t.inputs, c.actWord(x.Index(ic, iy, ix)))
+							t.weights = append(t.weights, c.weightWord(((oc*l.InC+ic)*l.K+ky)*l.K+kx))
+							t.inputs = append(t.inputs, c.actWord((ic*h+iy)*w+ix))
 						}
 					}
 				}

@@ -56,7 +56,19 @@ func (c *Conv2D) OutSize(h, w int) (oh, ow int) {
 	return oh, ow
 }
 
+// taps returns the kernel taps [lo, hi) whose input coordinate origin+tap
+// lies inside [0, n); the range is empty when no tap does.
+func taps(origin, k, n int) (lo, hi int) {
+	lo, hi = max(0, -origin), min(k, n-origin)
+	return lo, max(lo, hi)
+}
+
 // Forward implements Layer.
+//
+// Each output is bias + Σ W·x over its in-bounds taps in ascending
+// (ic, ky, kx) order (see the package doc). In the stride-1 interior, four
+// adjacent outputs of a row are computed together, each in its own
+// accumulator, so blocking changes no output's summation order.
 func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 3 || x.Dim(0) != c.InC {
 		panic(fmt.Sprintf("dnn: %s got input %v", c.Name(), x.Shape()))
@@ -68,27 +80,62 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("dnn: %s input %dx%d too small", c.Name(), h, w))
 	}
 	out := tensor.New(c.OutC, oh, ow)
+	k, s, inC := c.K, c.Stride, c.InC
+	xd := x.Data
+	// Outputs [c.Pad, xEnd) of a stride-1 row read only in-bounds columns.
+	xEnd := w - k + c.Pad + 1
 	for oc := 0; oc < c.OutC; oc++ {
+		wOC := c.W.Data[oc*inC*k*k : (oc+1)*inC*k*k]
 		bias := c.B.Data[oc]
 		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
+			iy0 := oy*s - c.Pad
+			ky0, ky1 := taps(iy0, k, h)
+			row := out.Data[(oc*oh+oy)*ow : (oc*oh+oy+1)*ow]
+			// point computes one output with the scalar, edge-aware path.
+			point := func(ox int) float32 {
+				ix0 := ox*s - c.Pad
+				kx0, kx1 := taps(ix0, k, w)
 				acc := bias
-				for ic := 0; ic < c.InC; ic++ {
-					for ky := 0; ky < c.K; ky++ {
-						iy := oy*c.Stride - c.Pad + ky
-						if iy < 0 || iy >= h {
-							continue
-						}
-						for kx := 0; kx < c.K; kx++ {
-							ix := ox*c.Stride - c.Pad + kx
-							if ix < 0 || ix >= w {
-								continue
-							}
-							acc += c.W.At(oc, ic, ky, kx) * x.At(ic, iy, ix)
+				if kx0 == kx1 {
+					return acc
+				}
+				for ic := 0; ic < inC; ic++ {
+					for ky := ky0; ky < ky1; ky++ {
+						wo := (ic*k+ky)*k + kx0
+						xo := (ic*h+iy0+ky)*w + ix0 + kx0
+						xr := xd[xo : xo+kx1-kx0]
+						for j, wv := range wOC[wo : wo+kx1-kx0] {
+							acc += wv * xr[j]
 						}
 					}
 				}
-				out.Set(acc, oc, oy, ox)
+				return acc
+			}
+			ox := 0
+			if s == 1 {
+				for ; ox < min(c.Pad, ow); ox++ {
+					row[ox] = point(ox)
+				}
+				for ; ox+4 <= xEnd; ox += 4 {
+					a0, a1, a2, a3 := bias, bias, bias, bias
+					for ic := 0; ic < inC; ic++ {
+						for ky := ky0; ky < ky1; ky++ {
+							wr := wOC[(ic*k+ky)*k : (ic*k+ky+1)*k]
+							xo := (ic*h+iy0+ky)*w + ox - c.Pad
+							xr := xd[xo : xo+k+3]
+							for kx, wv := range wr {
+								a0 += wv * xr[kx]
+								a1 += wv * xr[kx+1]
+								a2 += wv * xr[kx+2]
+								a3 += wv * xr[kx+3]
+							}
+						}
+					}
+					row[ox], row[ox+1], row[ox+2], row[ox+3] = a0, a1, a2, a3
+				}
+			}
+			for ; ox < ow; ox++ {
+				row[ox] = point(ox)
 			}
 		}
 	}
@@ -96,6 +143,9 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward implements Trainable.
+//
+// Gradients accumulate in (oc, oy, ox, ic, ky, kx) order, so every element
+// of gradW, gradB and gradIn receives its terms in a fixed order.
 func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	if c.input == nil {
 		panic("dnn: Conv2D.Backward before Forward")
@@ -108,27 +158,35 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			c.Name(), gradOut.Shape(), c.OutC, oh, ow))
 	}
 	gradIn := tensor.New(c.InC, h, w)
+	k, s, inC := c.K, c.Stride, c.InC
+	xd, gi := x.Data, gradIn.Data
 	for oc := 0; oc < c.OutC; oc++ {
+		wOC := c.W.Data[oc*inC*k*k : (oc+1)*inC*k*k]
+		gwOC := c.gradW.Data[oc*inC*k*k : (oc+1)*inC*k*k]
 		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				g := gradOut.At(oc, oy, ox)
+			iy0 := oy*s - c.Pad
+			ky0, ky1 := taps(iy0, k, h)
+			gRow := gradOut.Data[(oc*oh+oy)*ow : (oc*oh+oy+1)*ow]
+			for ox, g := range gRow {
 				if g == 0 {
 					continue
 				}
 				c.gradB.Data[oc] += g
-				for ic := 0; ic < c.InC; ic++ {
-					for ky := 0; ky < c.K; ky++ {
-						iy := oy*c.Stride - c.Pad + ky
-						if iy < 0 || iy >= h {
-							continue
-						}
-						for kx := 0; kx < c.K; kx++ {
-							ix := ox*c.Stride - c.Pad + kx
-							if ix < 0 || ix >= w {
-								continue
-							}
-							c.gradW.Data[c.gradW.Index(oc, ic, ky, kx)] += g * x.At(ic, iy, ix)
-							gradIn.Data[gradIn.Index(ic, iy, ix)] += g * c.W.At(oc, ic, ky, kx)
+				ix0 := ox*s - c.Pad
+				kx0, kx1 := taps(ix0, k, w)
+				if kx0 == kx1 {
+					continue
+				}
+				n := kx1 - kx0
+				for ic := 0; ic < inC; ic++ {
+					for ky := ky0; ky < ky1; ky++ {
+						wo := (ic*k+ky)*k + kx0
+						xo := (ic*h+iy0+ky)*w + ix0 + kx0
+						wr, gwr := wOC[wo:wo+n], gwOC[wo:wo+n]
+						xr, gir := xd[xo:xo+n], gi[xo:xo+n]
+						for j, wv := range wr {
+							gwr[j] += g * xr[j]
+							gir[j] += g * wv
 						}
 					}
 				}

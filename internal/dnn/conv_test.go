@@ -1,8 +1,10 @@
 package dnn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"nocbt/internal/tensor"
@@ -225,5 +227,220 @@ func TestConv2DZeroGrads(t *testing.T) {
 		if v != 0 {
 			t.Fatal("ZeroGrads left bias gradient")
 		}
+	}
+}
+
+// refConv2DForward is the naïve, checked-index convolution the flat-offset
+// kernel must reproduce bit for bit: each output starts from the bias and
+// adds W·x over in-bounds taps in ascending (ic, ky, kx) order.
+func refConv2DForward(c *Conv2D, x *tensor.Tensor) *tensor.Tensor {
+	h, w := x.Dim(1), x.Dim(2)
+	oh, ow := c.OutSize(h, w)
+	out := tensor.New(c.OutC, oh, ow)
+	for oc := 0; oc < c.OutC; oc++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				acc := c.B.Data[oc]
+				for ic := 0; ic < c.InC; ic++ {
+					for ky := 0; ky < c.K; ky++ {
+						iy := oy*c.Stride - c.Pad + ky
+						if iy < 0 || iy >= h {
+							continue
+						}
+						for kx := 0; kx < c.K; kx++ {
+							ix := ox*c.Stride - c.Pad + kx
+							if ix < 0 || ix >= w {
+								continue
+							}
+							acc += c.W.At(oc, ic, ky, kx) * x.At(ic, iy, ix)
+						}
+					}
+				}
+				out.Set(acc, oc, oy, ox)
+			}
+		}
+	}
+	return out
+}
+
+// refConv2DBackward is the naïve backward pass in (oc, oy, ox, ic, ky, kx)
+// order, returning fresh gradW, gradB and gradIn.
+func refConv2DBackward(c *Conv2D, x, gradOut *tensor.Tensor) (gradW, gradB, gradIn *tensor.Tensor) {
+	h, w := x.Dim(1), x.Dim(2)
+	oh, ow := c.OutSize(h, w)
+	gradW = tensor.New(c.W.Shape()...)
+	gradB = tensor.New(c.OutC)
+	gradIn = tensor.New(c.InC, h, w)
+	for oc := 0; oc < c.OutC; oc++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				g := gradOut.At(oc, oy, ox)
+				if g == 0 {
+					continue
+				}
+				gradB.Data[oc] += g
+				for ic := 0; ic < c.InC; ic++ {
+					for ky := 0; ky < c.K; ky++ {
+						iy := oy*c.Stride - c.Pad + ky
+						if iy < 0 || iy >= h {
+							continue
+						}
+						for kx := 0; kx < c.K; kx++ {
+							ix := ox*c.Stride - c.Pad + kx
+							if ix < 0 || ix >= w {
+								continue
+							}
+							gradW.Data[gradW.Index(oc, ic, ky, kx)] += g * x.At(ic, iy, ix)
+							gradIn.Data[gradIn.Index(ic, iy, ix)] += g * c.W.At(oc, ic, ky, kx)
+						}
+					}
+				}
+			}
+		}
+	}
+	return gradW, gradB, gradIn
+}
+
+// convGeom is one convolution case for the reference-equivalence checks.
+type convGeom struct {
+	inC, outC, k, stride, pad, h, w int
+}
+
+// checkConv2DMatchesReference runs Forward and Backward on random data of
+// geometry g and compares every float32 bit pattern with the reference.
+func checkConv2DMatchesReference(t *testing.T, g convGeom, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	c := NewConv2D(g.inC, g.outC, g.k, g.stride, g.pad, rng)
+	c.B.Uniform(-1, 1, rng)
+	x := tensor.New(g.inC, g.h, g.w)
+	x.Uniform(-1, 1, rng)
+	out := c.Forward(x)
+	same(t, "out", out, refConv2DForward(c, x))
+
+	gradOut := tensor.New(out.Shape()...)
+	gradOut.Uniform(-1, 1, rng)
+	for i := range gradOut.Data {
+		if rng.Intn(4) == 0 {
+			gradOut.Data[i] = 0 // exercise the zero-gradient skip
+		}
+	}
+	c.ZeroGrads()
+	gradIn := c.Backward(gradOut)
+	wantW, wantB, wantIn := refConv2DBackward(c, x, gradOut)
+	same(t, "gradW", c.gradW, wantW)
+	same(t, "gradB", c.gradB, wantB)
+	same(t, "gradIn", gradIn, wantIn)
+}
+
+// same fails the test unless got and want hold identical float32 bits.
+func same(t *testing.T, what string, got, want *tensor.Tensor) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Shape(), want.Shape()) {
+		t.Fatalf("%s shape %v, want %v", what, got.Shape(), want.Shape())
+	}
+	for i := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+			t.Fatalf("%s[%d] = %v (%#08x), reference %v (%#08x)", what, i,
+				got.Data[i], math.Float32bits(got.Data[i]),
+				want.Data[i], math.Float32bits(want.Data[i]))
+		}
+	}
+}
+
+// TestConv2DMatchesReference checks the flat-offset kernels against the
+// naïve reference bit for bit. The widths give ow % 4 ≠ 0 for every stride-1
+// geometry, so both the 4-output interior blocks and the scalar edge and
+// tail path run.
+func TestConv2DMatchesReference(t *testing.T) {
+	seed := int64(0)
+	for _, k := range []int{1, 3, 5} {
+		for _, stride := range []int{1, 2} {
+			for _, pad := range []int{0, 1, 2} {
+				for _, inC := range []int{1, 3} {
+					for _, w := range []int{5, 6, 9, 14} {
+						g := convGeom{inC: inC, outC: 2, k: k, stride: stride, pad: pad, h: 7, w: w}
+						seed++
+						t.Run(fmt.Sprintf("k%d_s%d_p%d_c%d_w%d", k, stride, pad, inC, w), func(t *testing.T) {
+							checkConv2DMatchesReference(t, g, seed)
+						})
+					}
+				}
+			}
+		}
+	}
+	// The LeNet layer geometries the trained-weight pins depend on.
+	for i, g := range []convGeom{lenetConv1, lenetConv2} {
+		checkConv2DMatchesReference(t, g, int64(100+i))
+	}
+}
+
+// FuzzConv2DMatchesReference explores the same geometry space with random
+// sizes and data.
+func FuzzConv2DMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint8(5), uint8(1), uint8(0), uint8(1), uint8(14), uint8(14))
+	f.Add(int64(2), uint8(3), uint8(2), uint8(1), uint8(3), uint8(9), uint8(6))
+	f.Add(int64(3), uint8(1), uint8(1), uint8(2), uint8(2), uint8(3), uint8(11))
+	f.Fuzz(func(t *testing.T, seed int64, k, stride, pad, inC, h, w uint8) {
+		g := convGeom{
+			inC: 1 + int(inC%3), outC: 2,
+			k: 1 + int(k%5), stride: 1 + int(stride%2), pad: int(pad % 3),
+			h: 1 + int(h%16), w: 1 + int(w%16),
+		}
+		if g.h+2*g.pad < g.k || g.w+2*g.pad < g.k {
+			t.Skip("input smaller than the kernel")
+		}
+		checkConv2DMatchesReference(t, g, seed)
+	})
+}
+
+// LeNet's two convolution layers.
+var (
+	lenetConv1 = convGeom{inC: 1, outC: 6, k: 5, stride: 1, h: 32, w: 32}
+	lenetConv2 = convGeom{inC: 6, outC: 16, k: 5, stride: 1, h: 14, w: 14}
+)
+
+// benchConv2D sets up a layer of geometry g with a random input.
+func benchConv2D(g convGeom) (*Conv2D, *tensor.Tensor) {
+	rng := rand.New(rand.NewSource(1))
+	c := NewConv2D(g.inC, g.outC, g.k, g.stride, g.pad, rng)
+	x := tensor.New(g.inC, g.h, g.w)
+	x.Uniform(-1, 1, rng)
+	return c, x
+}
+
+func BenchmarkConv2DForward(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		g    convGeom
+	}{{"lenet_conv1", lenetConv1}, {"lenet_conv2", lenetConv2}} {
+		b.Run(bc.name, func(b *testing.B) {
+			c, x := benchConv2D(bc.g)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Forward(x)
+			}
+		})
+	}
+}
+
+func BenchmarkConv2DBackward(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		g    convGeom
+	}{{"lenet_conv1", lenetConv1}, {"lenet_conv2", lenetConv2}} {
+		b.Run(bc.name, func(b *testing.B) {
+			c, x := benchConv2D(bc.g)
+			out := c.Forward(x)
+			gradOut := tensor.New(out.Shape()...)
+			gradOut.Uniform(-1, 1, rand.New(rand.NewSource(2)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.ZeroGrads()
+				c.Backward(gradOut)
+			}
+		})
 	}
 }

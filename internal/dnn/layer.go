@@ -8,6 +8,15 @@
 // backpropagation so the repository can produce genuinely *trained* weights
 // (see internal/train) — the paper's experiments distinguish random from
 // trained weight distributions.
+//
+// Accumulation order is part of the contract. Every Conv2D and Linear
+// output starts from its bias and adds W·x in ascending (ic, ky, kx) — for
+// Linear, input — order, and backward passes accumulate each gradient
+// element's terms in output order (oc, oy, ox, then the tap order). Kernels
+// may block, hoist and compute flat offsets, but never reassociate a sum
+// (no im2col reordering, no parallel reduction): float32 addition is not
+// associative, so trained weights, and every golden and fingerprint derived
+// from them, are only reproducible while this order holds.
 package dnn
 
 import (
@@ -151,24 +160,21 @@ func (p *MaxPool2) Forward(x *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(c, oh, ow)
 	p.inShape = []int{c, h, w}
 	p.argmax = make([]int, out.Size())
-	for ci := 0; ci < c; ci++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				best := float32(0)
-				bestIdx := -1
-				for dy := 0; dy < 2; dy++ {
-					for dx := 0; dx < 2; dx++ {
-						idx := x.Index(ci, oy*2+dy, ox*2+dx)
-						if bestIdx == -1 || x.Data[idx] > best {
-							best = x.Data[idx]
-							bestIdx = idx
-						}
-					}
+	// Window offsets in scan order: (0,0), (0,1), (1,0), (1,1).
+	window := [4]int{0, 1, w, w + 1}
+	oIdx := 0
+	for row := 0; row < c*oh; row++ {
+		for ox := 0; ox < ow; ox++ {
+			base := 2*row*w + 2*ox
+			bestIdx := base
+			for _, d := range window[1:] {
+				if x.Data[base+d] > x.Data[bestIdx] {
+					bestIdx = base + d
 				}
-				oIdx := out.Index(ci, oy, ox)
-				out.Data[oIdx] = best
-				p.argmax[oIdx] = bestIdx
 			}
+			out.Data[oIdx] = x.Data[bestIdx]
+			p.argmax[oIdx] = bestIdx
+			oIdx++
 		}
 	}
 	return out
@@ -218,10 +224,8 @@ func (g *GlobalAvgPool) Forward(x *tensor.Tensor) *tensor.Tensor {
 	area := float32(h * w)
 	for ci := 0; ci < c; ci++ {
 		sum := float32(0)
-		for y := 0; y < h; y++ {
-			for xx := 0; xx < w; xx++ {
-				sum += x.At(ci, y, xx)
-			}
+		for _, v := range x.Data[ci*h*w : (ci+1)*h*w] {
+			sum += v
 		}
 		out.Data[ci] = sum / area
 	}
@@ -238,10 +242,9 @@ func (g *GlobalAvgPool) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	area := float32(h * w)
 	for ci := 0; ci < c; ci++ {
 		gv := gradOut.Data[ci] / area
-		for y := 0; y < h; y++ {
-			for xx := 0; xx < w; xx++ {
-				gradIn.Set(gv, ci, y, xx)
-			}
+		plane := gradIn.Data[ci*h*w : (ci+1)*h*w]
+		for i := range plane {
+			plane[i] = gv
 		}
 	}
 	return gradIn

@@ -125,7 +125,7 @@ func renderDigit(digit, c, h, w int, rng *rand.Rand) *tensor.Tensor {
 				for dx := 0; dx < cellW; dx++ {
 					y, x := offY+line*cellH+dy, offX+col*cellW+dx
 					for ch := 0; ch < c; ch++ {
-						img.Set(brightness*tints[ch], ch, y, x)
+						img.Data[(ch*h+y)*w+x] = brightness * tints[ch]
 					}
 				}
 			}

@@ -105,18 +105,34 @@ func (t *Trainer) Step(s Sample) (float64, bool) {
 	m.ZeroGrads()
 	m.Backward(grad)
 
-	params := m.Params()
 	grads := m.Grads()
-	for i, p := range params {
-		v := t.velocity[i]
-		v.Scale(t.cfg.Momentum)
-		v.AddScaled(grads[i], -t.cfg.LR)
-		if t.cfg.WeightDecay != 0 {
-			v.AddScaled(p, -t.cfg.LR*t.cfg.WeightDecay)
-		}
-		p.AddScaled(v, 1)
+	for i, p := range m.Params() {
+		t.update(p.Data, t.velocity[i].Data, grads[i].Data)
 	}
 	return loss, correct
+}
+
+// update applies one momentum-SGD step to a parameter in a single pass.
+// Each element sees the same float32 operations, in the same order, as the
+// tensor-level sequence v.Scale(m); v.AddScaled(g, -lr);
+// v.AddScaled(p, -lr·wd) when wd ≠ 0; p.AddScaled(v, 1).
+func (t *Trainer) update(p, v, g []float32) {
+	if len(v) != len(p) || len(g) != len(p) {
+		panic(fmt.Sprintf("train: update sizes p=%d v=%d g=%d", len(p), len(v), len(g)))
+	}
+	mom, lr := t.cfg.Momentum, -t.cfg.LR
+	decay, decayed := -t.cfg.LR*t.cfg.WeightDecay, t.cfg.WeightDecay != 0
+	for j, pj := range p {
+		// The conversion rounds v·m before the next add, as the separate
+		// Scale pass did; without it the compiler may fuse the two.
+		vj := float32(v[j] * mom)
+		vj += lr * g[j]
+		if decayed {
+			vj += decay * pj
+		}
+		v[j] = vj
+		p[j] = pj + vj
+	}
 }
 
 // Epoch shuffles the dataset and runs one pass of single-sample SGD.

@@ -304,3 +304,49 @@ func TestConfigDefaults(t *testing.T) {
 		t.Errorf("explicit config overridden: %+v", c2)
 	}
 }
+
+// TestUpdateMatchesTensorSequence checks that the fused SGD update produces
+// the same float32 bits as the tensor-level Scale/AddScaled sequence, with
+// and without weight decay, including signed-zero velocities.
+func TestUpdateMatchesTensorSequence(t *testing.T) {
+	for _, wd := range []float32{0, 0.01} {
+		cfg := Config{LR: 0.03, Momentum: 0.9, WeightDecay: wd}
+		rng := rand.New(rand.NewSource(7))
+		p, v, g := tensor.New(64), tensor.New(64), tensor.New(64)
+		p.Uniform(-1, 1, rng)
+		v.Uniform(-0.1, 0.1, rng)
+		g.Uniform(-1, 1, rng)
+		v.Data[0], g.Data[0] = float32(math.Copysign(0, -1)), 0
+		v.Data[1], p.Data[1] = float32(math.Copysign(0, -1)), 0.5
+
+		wantP, wantV := p.Clone(), v.Clone()
+		wantV.Scale(cfg.Momentum)
+		wantV.AddScaled(g, -cfg.LR)
+		if cfg.WeightDecay != 0 {
+			wantV.AddScaled(wantP, -cfg.LR*cfg.WeightDecay)
+		}
+		wantP.AddScaled(wantV, 1)
+
+		tr := &Trainer{cfg: cfg}
+		tr.update(p.Data, v.Data, g.Data)
+		for i := range p.Data {
+			if math.Float32bits(p.Data[i]) != math.Float32bits(wantP.Data[i]) ||
+				math.Float32bits(v.Data[i]) != math.Float32bits(wantV.Data[i]) {
+				t.Fatalf("wd=%v [%d]: p=%v v=%v, sequence gives p=%v v=%v",
+					wd, i, p.Data[i], v.Data[i], wantP.Data[i], wantV.Data[i])
+			}
+		}
+	}
+}
+
+func BenchmarkTrainerStep(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	m := dnn.LeNet(rng)
+	s := SyntheticDigits(1, m.InShape, rng).Samples[0]
+	tr := NewTrainer(m, Config{LR: 0.002})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Step(s)
+	}
+}

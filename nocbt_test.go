@@ -2,6 +2,10 @@ package nocbt
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -351,5 +355,35 @@ func TestTrainedModelMemoized(t *testing.T) {
 	b := TrainedLeNet(1)
 	if a != b {
 		t.Error("TrainedLeNet not memoized")
+	}
+}
+
+// TestTrainedWeightDigest pins the SHA-256 of the trained weights (float32
+// bits, little-endian, in Params order). Any substrate change that alters
+// training arithmetic — a reassociated sum, a fused update that reorders
+// operations — changes these digests and every trained-weight result.
+func TestTrainedWeightDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains LeNet and DarkNet; skipped in -short mode")
+	}
+	for _, tc := range []struct {
+		name  string
+		model func(int64) *Model
+		want  string
+	}{
+		{"lenet", TrainedLeNet, "e3ac52e80ce0d13390fe0a71622edd0b3ed315d3f43bec9e88f4a4a109944aa5"},
+		{"darknet", TrainedDarkNet, "020dad9b94d0fbf918a24b85fb7046d0fb41501d0d4c421425ed9f98d57d7c0a"},
+	} {
+		h := sha256.New()
+		var b [4]byte
+		for _, p := range tc.model(1).Params() {
+			for _, v := range p.Data {
+				binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+				h.Write(b[:])
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("Trained %s(1) weight digest %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
