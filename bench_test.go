@@ -58,6 +58,20 @@ func benchTable1Row(b *testing.B, name string) {
 	b.ReportMetric(row.ReductionPct, "reduction-%")
 }
 
+// BenchmarkTable1 times one warm Tab. I at the paper's size: all four
+// weight sources, 10,000 packets each, LeNet already trained.
+func BenchmarkTable1(b *testing.B) {
+	cfg := nocbt.DefaultTable1Config()
+	nocbt.Table1(cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		table1Sink = nocbt.Table1(cfg)
+	}
+}
+
+var table1Sink []nocbt.Table1Row
+
 func BenchmarkTableIFloat32Random(b *testing.B)  { benchTable1Row(b, "Float-32 random") }
 func BenchmarkTableIFixed8Random(b *testing.B)   { benchTable1Row(b, "Fixed-8 random") }
 func BenchmarkTableIFloat32Trained(b *testing.B) { benchTable1Row(b, "Float-32 trained") }
@@ -727,6 +741,36 @@ func BenchmarkOrderDescending(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		core.OrderDescending(words, 8)
+	}
+}
+
+var (
+	pairsSink []core.Pair
+	sepSink   core.Separated
+	flitsSink [][]bitutil.Word
+)
+
+func BenchmarkAffiliatedOrder(b *testing.B) {
+	pairs := core.ZipPairs(randWords(4096, 8, 4), randWords(4096, 8, 5))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pairsSink, _ = core.AffiliatedOrder(pairs, 8)
+	}
+}
+
+func BenchmarkSeparatedOrder(b *testing.B) {
+	weights, inputs := randWords(4096, 8, 4), randWords(4096, 8, 5)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sepSink = core.SeparatedOrder(weights, inputs, 8)
+	}
+}
+
+func BenchmarkPackSequential(b *testing.B) {
+	words := randWords(8000, 8, 7)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		flitsSink = core.PackSequential(words, 8, 0)
 	}
 }
 

@@ -24,7 +24,12 @@ func init() {
 		func(_ context.Context, p Params) (*Result, error) { return fig1Result(p), nil }))
 	MustRegister(NewExperiment("table1",
 		"Tab. I — BT/flit reduction on linkless weight streams, baseline vs ordered",
-		func(_ context.Context, p Params) (*Result, error) { return table1Result(p), nil }))
+		func(_ context.Context, p Params) (*Result, error) {
+			if err := table1Params(p).Validate(); err != nil {
+				return nil, err
+			}
+			return table1Result(p), nil
+		}))
 	MustRegister(NewExperiment("fig9",
 		"Fig. 9 — per-lane '1'-bit counts of a weight stream before/after ordering",
 		func(_ context.Context, p Params) (*Result, error) { return fig9Result(p), nil }))
@@ -147,6 +152,25 @@ func DefaultTable1Config() Table1Config {
 	return Table1Config{Packets: 10_000, KernelSize: 25, LanesPerFlit: 8, Seed: 1}
 }
 
+// Validate reports whether the configuration describes a measurable
+// stream: the packet count, kernel size and lanes per flit must be
+// positive, and the stream must span at least two flits, because BT per
+// flit averages over the flit-to-flit steps of the stream.
+func (c Table1Config) Validate() error {
+	if c.Packets <= 0 || c.KernelSize <= 0 || c.LanesPerFlit <= 0 {
+		return fmt.Errorf("nocbt: Table1 config %+v: packets, kernel size and lanes per flit must be positive", c)
+	}
+	if flits := c.Packets * c.flitsPerPacket(); flits < 2 {
+		return fmt.Errorf("nocbt: Table1 config %+v: a %d-flit stream has no flit-to-flit step to measure", c, flits)
+	}
+	return nil
+}
+
+// flitsPerPacket is the flit count of one zero-padded kernel packet.
+func (c Table1Config) flitsPerPacket() int {
+	return (c.KernelSize + c.LanesPerFlit - 1) / c.LanesPerFlit
+}
+
 // Table1Row is one measured row of Tab. I.
 type Table1Row struct {
 	Source       WeightSource
@@ -164,12 +188,12 @@ type Table1Row struct {
 // zero-padded to a whole number of flits; the baseline stream transmits
 // packets in generation order; the ordered stream globally sorts all values
 // (padding zeros included — they sink to the tail) and repacks sequentially.
+// It panics with Validate's error on an invalid configuration.
 func Table1(cfg Table1Config) []Table1Row {
-	if cfg.Packets <= 0 || cfg.KernelSize <= 0 || cfg.LanesPerFlit <= 0 {
-		panic(fmt.Sprintf("nocbt: bad Table1 config %+v", cfg))
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
-	flitsPerPacket := (cfg.KernelSize + cfg.LanesPerFlit - 1) / cfg.LanesPerFlit
-	padded := flitsPerPacket * cfg.LanesPerFlit
+	padded := cfg.flitsPerPacket() * cfg.LanesPerFlit
 
 	rows := make([]Table1Row, 0, 4)
 	for _, src := range Table1Sources() {
@@ -185,12 +209,13 @@ func Table1(cfg Table1Config) []Table1Row {
 			}
 		}
 
+		// Each flit stream is measured as soon as it is packed, so the
+		// baseline flits are garbage before the ordered copies exist.
 		baselineFlits := core.PackSequential(stream, cfg.LanesPerFlit, 0)
-		ordered, _ := core.OrderDescending(stream, width)
-		orderedFlits := core.PackSequential(ordered, cfg.LanesPerFlit, 0)
-
 		nFlits := len(baselineFlits)
 		baseBT := float64(core.StreamTransitions(baselineFlits, width)) / float64(nFlits-1)
+		ordered, _ := core.OrderDescending(stream, width)
+		orderedFlits := core.PackSequential(ordered, cfg.LanesPerFlit, 0)
 		ordBT := float64(core.StreamTransitions(orderedFlits, width)) / float64(nFlits-1)
 		rows = append(rows, Table1Row{
 			Source:       src,

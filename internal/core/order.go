@@ -3,33 +3,85 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"nocbt/internal/bitutil"
 )
 
 // OrderDescending returns the words sorted by descending '1'-bit count and
-// the permutation applied: ordered[i] == words[perm[i]]. The sort is stable,
-// so equal popcounts keep their original relative order and the result is
-// deterministic.
+// the permutation applied: ordered[i] == words[perm[i]]. Equal popcounts
+// keep their original relative order, so the result is deterministic.
 //
 // This is the software model of the paper's ordering unit (Fig. 14:
 // SWAR popcount followed by a sorting network); hardware cost is modelled
-// in internal/hwmodel.
+// in internal/hwmodel. Because the key is a popcount in [0, width], the
+// sort is a counting sort over width+1 buckets (see popcountPerm): each
+// word is popcounted once, bucket start offsets come from a prefix sum run
+// from the highest count down, and words are scattered into their buckets
+// in index order. That scatter is what makes the sort stable by
+// construction, and it runs in O(n + width) with no comparisons.
 func OrderDescending(words []bitutil.Word, width int) ([]bitutil.Word, []int) {
-	perm := make([]int, len(words))
-	for i := range perm {
-		perm[i] = i
-	}
-	counts := Popcounts(words, width)
-	sort.SliceStable(perm, func(a, b int) bool {
-		return counts[perm[a]] > counts[perm[b]]
-	})
-	ordered := make([]bitutil.Word, len(words))
+	perm := popcountPerm(wordKeys(words, width), width, true)
+	return Gather(words, perm), perm
+}
+
+// OrderAscending is OrderDescending with the bucket order flipped: words
+// sorted by ascending '1'-bit count, equal counts in original order, and
+// ordered[i] == words[perm[i]].
+func OrderAscending(words []bitutil.Word, width int) ([]bitutil.Word, []int) {
+	perm := popcountPerm(wordKeys(words, width), width, false)
+	return Gather(words, perm), perm
+}
+
+// Gather returns vals permuted by perm: out[i] == vals[perm[i]].
+func Gather[T any](vals []T, perm []int) []T {
+	out := make([]T, len(perm))
 	for i, p := range perm {
-		ordered[i] = words[p]
+		out[i] = vals[p]
 	}
-	return ordered, perm
+	return out
+}
+
+// popcountPerm is the one stable counting-sort kernel behind every
+// popcount-keyed ordering. keys[i] is the '1'-bit count of element i at the
+// given width, so it lies in [0, width] and the sort needs only width+1 ≤ 65
+// buckets: histogram the keys, turn the counts into bucket start offsets
+// with a prefix sum (highest count first when descending, lowest first
+// otherwise), then place each index at its bucket's next free slot, in
+// index order. Elements with equal keys therefore leave in the order they
+// arrived: the permutation equals a stable comparison sort's.
+func popcountPerm(keys []uint8, width int, descending bool) []int {
+	perm := make([]int, len(keys))
+	if len(keys) == 0 {
+		return perm
+	}
+	var next [65]int
+	for _, k := range keys {
+		next[k]++
+	}
+	pos := 0
+	for b := 0; b <= width; b++ {
+		c := b
+		if descending {
+			c = width - b
+		}
+		n := next[c]
+		next[c] = pos
+		pos += n
+	}
+	for i, k := range keys {
+		perm[next[k]] = i
+		next[k]++
+	}
+	return perm
+}
+
+// wordKeys returns the popcount key of every word for popcountPerm.
+func wordKeys(words []bitutil.Word, width int) []uint8 {
+	keys := make([]uint8, len(words))
+	for i, w := range words {
+		keys[i] = uint8(w.OnesCount(width))
+	}
+	return keys
 }
 
 // PackSequential packs words into flits of `lanes` values each, in order,
@@ -37,23 +89,22 @@ func OrderDescending(words []bitutil.Word, width int) ([]bitutil.Word, []int) {
 // flitization and, applied to a descending-ordered stream, the paper's
 // "without NoC" ordered configuration: consecutive flits then carry
 // adjacent-rank values.
+//
+// All flits share one backing array. Each flit's capacity is capped at its
+// own lanes, so appending to one flit reallocates it rather than
+// overwriting the next.
 func PackSequential(words []bitutil.Word, lanes int, pad bitutil.Word) [][]bitutil.Word {
 	if lanes <= 0 {
 		panic(fmt.Sprintf("core: non-positive lane count %d", lanes))
 	}
 	numFlits := (len(words) + lanes - 1) / lanes
-	flits := make([][]bitutil.Word, 0, numFlits)
-	for f := 0; f < numFlits; f++ {
-		flit := make([]bitutil.Word, lanes)
-		for l := 0; l < lanes; l++ {
-			idx := f*lanes + l
-			if idx < len(words) {
-				flit[l] = words[idx]
-			} else {
-				flit[l] = pad
-			}
-		}
-		flits = append(flits, flit)
+	backing := make([]bitutil.Word, numFlits*lanes)
+	for i := copy(backing, words); i < len(backing); i++ {
+		backing[i] = pad
+	}
+	flits := make([][]bitutil.Word, numFlits)
+	for f := range flits {
+		flits[f] = backing[f*lanes : (f+1)*lanes : (f+1)*lanes]
 	}
 	return flits
 }
@@ -109,52 +160,37 @@ type Pair struct {
 // input attached to its weight (§IV-A). The returned permutation satisfies
 // ordered[i] == pairs[perm[i]]. Because pairing is preserved, no recovery
 // information is needed downstream: conv/linear layers are order-invariant.
+//
+// It is the Fig. 14 popcount-then-sort unit applied to the weight column:
+// the same width+1-bucket counting sort as OrderDescending, keyed on each
+// weight's popcount, stable by construction because equal-count pairs are
+// scattered into their bucket in index order.
 func AffiliatedOrder(pairs []Pair, width int) ([]Pair, []int) {
-	perm := make([]int, len(pairs))
-	for i := range perm {
-		perm[i] = i
-	}
-	counts := make([]int, len(pairs))
-	for i, p := range pairs {
-		counts[i] = p.Weight.OnesCount(width)
-	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		return counts[perm[a]] > counts[perm[b]]
-	})
-	ordered := make([]Pair, len(pairs))
-	for i, p := range perm {
-		ordered[i] = pairs[p]
-	}
-	return ordered, perm
+	perm := popcountPerm(weightKeys(pairs, width), width, true)
+	return Gather(pairs, perm), perm
 }
 
 // AscendingAffiliatedOrder sorts pairs by ascending weight popcount, keeping
 // each input attached to its weight — the '1'-bit-count sorting-unit dual of
 // AffiliatedOrder evaluated by Han et al. ("'1'-bit Count-based Sorting Unit
 // to Reduce Link Power in DNN Accelerators"): the same sorting hardware with
-// the comparator sense flipped. The returned permutation satisfies
-// ordered[i] == pairs[perm[i]]; the stable sort keeps the result
-// deterministic.
+// the comparator sense flipped. In software that is the same counting sort
+// with the bucket prefix sum run from the lowest count up; equal counts keep
+// their original order by construction. The returned permutation satisfies
+// ordered[i] == pairs[perm[i]].
 func AscendingAffiliatedOrder(pairs []Pair, width int) ([]Pair, []int) {
-	perm := make([]int, len(pairs))
-	for i := range perm {
-		perm[i] = i
-	}
-	// Pack (popcount, original index) into one uint64 key per pair: an
-	// unstable sort over the keys is then equivalent to the stable
-	// popcount sort (the index disambiguates ties), with no comparator
-	// indirection in the inner loop.
-	keys := make([]uint64, len(pairs))
+	perm := popcountPerm(weightKeys(pairs, width), width, false)
+	return Gather(pairs, perm), perm
+}
+
+// weightKeys returns the weight popcount key of every pair for
+// popcountPerm.
+func weightKeys(pairs []Pair, width int) []uint8 {
+	keys := make([]uint8, len(pairs))
 	for i, p := range pairs {
-		keys[i] = uint64(p.Weight.OnesCount(width))<<32 | uint64(i)
+		keys[i] = uint8(p.Weight.OnesCount(width))
 	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-	ordered := make([]Pair, len(pairs))
-	for i, k := range keys {
-		perm[i] = int(k & 0xffffffff)
-		ordered[i] = pairs[perm[i]]
-	}
-	return ordered, perm
+	return keys
 }
 
 // HammingNNOrder orders pairs by a greedy nearest-neighbor walk over
@@ -269,7 +305,9 @@ func SeparatedOrder(weights, inputs []bitutil.Word, width int) Separated {
 	for pos, orig := range wPerm {
 		invW[orig] = pos
 	}
-	partner := make([]int, len(iPerm))
+	// Each entry of iPerm is read once, just before its slot is
+	// overwritten, so the partner table reuses iPerm's storage.
+	partner := iPerm
 	for pos, orig := range iPerm {
 		partner[pos] = invW[orig]
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -679,5 +680,156 @@ func TestAscendingAffiliatedOrderMatchesStableSort(t *testing.T) {
 				t.Fatalf("ordered[%d] != pairs[perm[%d]]", i, i)
 			}
 		}
+	}
+}
+
+// The sort.SliceStable bodies the counting-sort kernel replaced, kept as
+// the test oracle: a stable comparison sort on popcount keys.
+
+func refStablePerm(n int, key func(i int) int, descending bool) []int {
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	sort.SliceStable(perm, func(a, b int) bool {
+		if descending {
+			return key(perm[a]) > key(perm[b])
+		}
+		return key(perm[a]) < key(perm[b])
+	})
+	return perm
+}
+
+func refOrderWords(words []bitutil.Word, width int, descending bool) ([]bitutil.Word, []int) {
+	counts := Popcounts(words, width)
+	perm := refStablePerm(len(words), func(i int) int { return counts[i] }, descending)
+	ordered := make([]bitutil.Word, len(words))
+	for i, p := range perm {
+		ordered[i] = words[p]
+	}
+	return ordered, perm
+}
+
+func refOrderPairs(pairs []Pair, width int, descending bool) ([]Pair, []int) {
+	perm := refStablePerm(len(pairs), func(i int) int { return pairs[i].Weight.OnesCount(width) }, descending)
+	ordered := make([]Pair, len(pairs))
+	for i, p := range perm {
+		ordered[i] = pairs[p]
+	}
+	return ordered, perm
+}
+
+func refSeparatedOrder(weights, inputs []bitutil.Word, width int) Separated {
+	orderedW, wPerm := refOrderWords(weights, width, true)
+	orderedI, iPerm := refOrderWords(inputs, width, true)
+	invW := make([]int, len(wPerm))
+	for pos, orig := range wPerm {
+		invW[orig] = pos
+	}
+	partner := make([]int, len(iPerm))
+	for pos, orig := range iPerm {
+		partner[pos] = invW[orig]
+	}
+	return Separated{Weights: orderedW, Inputs: orderedI, PartnerIndex: partner}
+}
+
+// popcountOrderInputs draws n weight and input words at the given width.
+// tieBits > 0 masks every value to its low tieBits bits, which squeezes the
+// popcounts into [0, tieBits] and forces long runs of equal keys.
+func popcountOrderInputs(seed int64, n, width, tieBits int) (weights, inputs []bitutil.Word) {
+	rng := rand.New(rand.NewSource(seed))
+	weights = randWords(n, width, rng)
+	inputs = randWords(n, width, rng)
+	if tieBits > 0 {
+		mask := bitutil.Word(1)<<uint(tieBits) - 1
+		for i := range weights {
+			weights[i] &= mask
+			inputs[i] &= mask
+		}
+	}
+	return weights, inputs
+}
+
+// checkPopcountOrdersMatchReference compares every popcount-keyed ordering
+// with its stable comparison-sort reference: same permutation, same output.
+func checkPopcountOrdersMatchReference(t *testing.T, weights, inputs []bitutil.Word, width int) {
+	t.Helper()
+	for _, tc := range []struct {
+		name       string
+		order      func([]bitutil.Word, int) ([]bitutil.Word, []int)
+		descending bool
+	}{
+		{"OrderDescending", OrderDescending, true},
+		{"OrderAscending", OrderAscending, false},
+	} {
+		got, gotPerm := tc.order(weights, width)
+		want, wantPerm := refOrderWords(weights, width, tc.descending)
+		if !slices.Equal(gotPerm, wantPerm) || !slices.Equal(got, want) {
+			t.Fatalf("%s width %d n %d: perm %v, reference %v", tc.name, width, len(weights), gotPerm, wantPerm)
+		}
+	}
+	pairs := ZipPairs(weights, inputs)
+	for _, tc := range []struct {
+		name       string
+		order      func([]Pair, int) ([]Pair, []int)
+		descending bool
+	}{
+		{"AffiliatedOrder", AffiliatedOrder, true},
+		{"AscendingAffiliatedOrder", AscendingAffiliatedOrder, false},
+	} {
+		got, gotPerm := tc.order(pairs, width)
+		want, wantPerm := refOrderPairs(pairs, width, tc.descending)
+		if !slices.Equal(gotPerm, wantPerm) || !slices.Equal(got, want) {
+			t.Fatalf("%s width %d n %d: perm %v, reference %v", tc.name, width, len(pairs), gotPerm, wantPerm)
+		}
+	}
+	got := SeparatedOrder(weights, inputs, width)
+	want := refSeparatedOrder(weights, inputs, width)
+	if !slices.Equal(got.Weights, want.Weights) || !slices.Equal(got.Inputs, want.Inputs) ||
+		!slices.Equal(got.PartnerIndex, want.PartnerIndex) {
+		t.Fatalf("SeparatedOrder width %d n %d: %+v, reference %+v", width, len(weights), got, want)
+	}
+}
+
+// TestPopcountOrdersMatchStableSort is the equivalence gate for the
+// counting-sort kernel: at every lane width and across task sizes, with
+// and without heavy popcount ties, each ordering yields exactly the
+// permutation and output of a stable comparison sort.
+func TestPopcountOrdersMatchStableSort(t *testing.T) {
+	for _, width := range []int{1, 2, 4, 8, 16, 32, 64} {
+		for _, n := range []int{0, 1, 7, 25, 150, 400, 1000} {
+			for _, tieBits := range []int{0, 1, 3} {
+				if tieBits >= width {
+					continue
+				}
+				weights, inputs := popcountOrderInputs(int64(width*10_000+n*10+tieBits), n, width, tieBits)
+				checkPopcountOrdersMatchReference(t, weights, inputs, width)
+			}
+		}
+	}
+}
+
+// FuzzPopcountOrderMatchesStableSort explores the same space as
+// TestPopcountOrdersMatchStableSort: any width in [1, 64], any task size up
+// to 1000 and any tie mask.
+func FuzzPopcountOrderMatchesStableSort(f *testing.F) {
+	f.Add(int64(1), uint16(25), uint8(8), uint8(0))
+	f.Add(int64(2), uint16(400), uint8(32), uint8(3))
+	f.Add(int64(3), uint16(1000), uint8(64), uint8(1))
+	f.Add(int64(4), uint16(0), uint8(1), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, width, tieBits uint8) {
+		w := 1 + int(width)%64
+		weights, inputs := popcountOrderInputs(seed, int(n)%1001, w, int(tieBits)%w)
+		checkPopcountOrdersMatchReference(t, weights, inputs, w)
+	})
+}
+
+// TestPackSequentialFlitsDoNotAlias: flits share one backing array, but
+// appending to one flit must not write into the next.
+func TestPackSequentialFlitsDoNotAlias(t *testing.T) {
+	flits := PackSequential([]bitutil.Word{1, 2, 3, 4, 5, 6}, 3, 0)
+	_ = append(flits[0], 99)
+	if !slices.Equal(flits[1], []bitutil.Word{4, 5, 6}) {
+		t.Fatalf("appending to flit 0 changed flit 1 to %v", flits[1])
 	}
 }

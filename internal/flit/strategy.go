@@ -309,11 +309,7 @@ func init() {
 			return w, in, nil
 		}))
 	MustRegisterOrdering(NewOrderingStrategy("O1", Affiliated, true, false,
-		func(w, in []bitutil.Word, laneBits int) ([]bitutil.Word, []bitutil.Word, []int) {
-			ordered, _ := core.AffiliatedOrder(core.ZipPairs(w, in), laneBits)
-			ow, oi := core.SplitPairs(ordered)
-			return ow, oi, nil
-		}))
+		affiliatedBy(core.OrderDescending)))
 	MustRegisterOrdering(NewOrderingStrategy("O2", Separated, true, true,
 		func(w, in []bitutil.Word, laneBits int) ([]bitutil.Word, []bitutil.Word, []int) {
 			sep := core.SeparatedOrder(w, in, laneBits)
@@ -326,14 +322,23 @@ func init() {
 			return ow, oi, nil
 		}))
 	MustRegisterOrdering(NewOrderingStrategy("popcount-asc", PopcountAsc, true, false,
-		func(w, in []bitutil.Word, laneBits int) ([]bitutil.Word, []bitutil.Word, []int) {
-			ordered, _ := core.AscendingAffiliatedOrder(core.ZipPairs(w, in), laneBits)
-			ow, oi := core.SplitPairs(ordered)
-			return ow, oi, nil
-		}))
+		affiliatedBy(core.OrderAscending)))
 
 	MustRegisterLinkCoding(grayScheme{})
 	MustRegisterLinkCoding(businvertScheme{segBits: BusinvertSegBits})
+}
+
+// affiliatedBy builds an affiliated ordering from a popcount word order:
+// the weight column is ordered by order and the input column gathered
+// through the same permutation, so each input stays with its weight.
+func affiliatedBy(order func([]bitutil.Word, int) ([]bitutil.Word, []int)) func(w, in []bitutil.Word, laneBits int) ([]bitutil.Word, []bitutil.Word, []int) {
+	return func(w, in []bitutil.Word, laneBits int) ([]bitutil.Word, []bitutil.Word, []int) {
+		if len(w) != len(in) {
+			panic(fmt.Sprintf("flit: %d weights vs %d inputs", len(w), len(in)))
+		}
+		ow, perm := order(w, laneBits)
+		return ow, core.Gather(in, perm), nil
+	}
 }
 
 // grayScheme transmits the Gray-code transform of each flit: enc[i] =

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -263,6 +264,30 @@ func TestTable1SmallRun(t *testing.T) {
 	}
 }
 
+// TestTable1AllocsIndependentOfStreamLength: Tab. I allocates a fixed
+// number of buffers per weight source, however long the stream. A
+// per-flit or per-comparison allocation would make the 5,000-packet count
+// ten times the 500-packet one's excess and fail here. The collector is
+// off while counting: each GC cycle empties the sync.Pools behind fmt, and
+// a longer stream runs more cycles, so refilling them would otherwise
+// count a few extra objects.
+func TestTable1AllocsIndependentOfStreamLength(t *testing.T) {
+	if testing.Short() {
+		t.Skip("uses trained LeNet; skipped in -short mode")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(packets int) float64 {
+		cfg := DefaultTable1Config()
+		cfg.Packets = packets
+		Table1(cfg) // train and memoize LeNet outside the count
+		return testing.AllocsPerRun(2, func() { Table1(cfg) })
+	}
+	short, long := allocs(500), allocs(5000)
+	if math.Abs(long-short) > 2 {
+		t.Errorf("Table1 allocates %.0f objects at 500 packets but %.0f at 5000", short, long)
+	}
+}
+
 func TestTable1BadConfigPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -270,6 +295,50 @@ func TestTable1BadConfigPanics(t *testing.T) {
 		}
 	}()
 	Table1(Table1Config{})
+}
+
+// TestTable1ConfigValidate: a config with a non-positive size field or a
+// stream shorter than two flits is rejected by Validate, makes Table1 panic
+// with that error's text, and comes back from the registered experiment as
+// the same error, never as a panic or a NaN row.
+func TestTable1ConfigValidate(t *testing.T) {
+	cases := []struct {
+		name    string
+		cfg     Table1Config
+		wantErr bool
+	}{
+		{"paper default", DefaultTable1Config(), false},
+		{"two one-flit packets", Table1Config{Packets: 2, KernelSize: 5, LanesPerFlit: 8, Seed: 1}, false},
+		{"one two-flit packet", Table1Config{Packets: 1, KernelSize: 9, LanesPerFlit: 8, Seed: 1}, false},
+		{"one-flit stream", Table1Config{Packets: 1, KernelSize: 5, LanesPerFlit: 8, Seed: 1}, true},
+		{"zero packets", Table1Config{Packets: 0, KernelSize: 25, LanesPerFlit: 8, Seed: 1}, true},
+		{"negative packets", Table1Config{Packets: -3, KernelSize: 25, LanesPerFlit: 8, Seed: 1}, true},
+		{"zero kernel", Table1Config{Packets: 10, KernelSize: 0, LanesPerFlit: 8, Seed: 1}, true},
+		{"zero lanes", Table1Config{Packets: 10, KernelSize: 25, LanesPerFlit: 0, Seed: 1}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.cfg.Validate()
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("Validate() = %v, want error %v", err, tc.wantErr)
+			}
+			if !tc.wantErr {
+				return
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != err.Error() {
+						t.Errorf("Table1 panicked with %v, want %q", r, err)
+					}
+				}()
+				Table1(tc.cfg)
+			}()
+			res, runErr := RunExperiment(context.Background(), "table1", Params{Table1: tc.cfg})
+			if res != nil || runErr == nil || runErr.Error() != err.Error() {
+				t.Errorf("RunExperiment = (%v, %v), want error %q", res, runErr, err)
+			}
+		})
+	}
 }
 
 func TestFig9Report(t *testing.T) {
